@@ -67,7 +67,7 @@ FleetResult run_fleet(std::size_t shard_count) {
   config.shards = shard_count;
   config.platform.local_as = 65000;
   config.platform.registry = &registry;
-  config.platform.component1_refresh = 0;  // ingest only: no merge refresh
+  config.component1_refresh = 0;  // ingest only: no merge refresh
   collect::ShardedPlatform platform(config);
   if (!platform.listen("127.0.0.1", 0)) {
     std::fprintf(stderr, "error: fleet(%zu): cannot bind listeners\n",

@@ -96,7 +96,7 @@ int main() {
               platform.store().stored(), platform.mirror().size());
 
   // --- 4. refresh ------------------------------------------------------------
-  platform.refresh_filters(5000);
+  platform.refresh_filters();
   std::printf("\nrefreshed filters:\n%s",
               platform.published_filter_document().c_str());
   std::printf("%s", platform.published_anchor_document().c_str());

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -43,33 +42,14 @@ Platform::PlatformCounters::PlatformCounters(metrics::Registry& registry,
       forwarded_updates(registry.counter(
           "gill_collector_forwarded_updates_total",
           "Updates pushed to operator forwarding rules (custom services)", labels)),
-      filter_refreshes(registry.counter(
-          "gill_collector_filter_refreshes_total",
-          "GILL pipeline reruns installing fresh filters", labels)),
-      filter_refresh_stale(registry.counter(
-          "gill_collector_filter_refresh_stale_total",
-          "Completed refresh jobs discarded because a newer generation "
-          "was already installed", labels)),
-      mirror_purged_updates(registry.counter(
-          "gill_collector_mirror_purged_updates_total",
-          "Mirrored updates dropped because their peer was quarantined", labels)),
       quarantines(registry.counter("gill_collector_quarantines_total",
                                    "Peers entering quarantine", labels)),
-      score_cache_hits(registry.counter(
-          "gill_collector_score_cache_hits_total",
-          "Pairwise VP scores served from the cross-refresh cache", labels)),
-      score_cache_misses(registry.counter(
-          "gill_collector_score_cache_misses_total",
-          "Pairwise VP scores recomputed (cache miss or stale epoch)", labels)),
       sheds(registry.counter(
           "gill_overload_sheds_total",
           "Peers frozen by the memory-watermark degraded mode", labels)),
       readmits(registry.counter(
           "gill_overload_readmits_total",
           "Shed peers re-admitted after memory recovered", labels)),
-      refreshes_deferred(registry.counter(
-          "gill_overload_refreshes_deferred_total",
-          "Periodic filter refreshes skipped while degraded", labels)),
       peers(registry.gauge("gill_collector_peers",
                            "Peering sessions managed by the platform", labels)),
       quarantined_peers(registry.gauge(
@@ -83,27 +63,14 @@ Platform::PlatformCounters::PlatformCounters(metrics::Registry& registry,
           "Last memory-probe reading (process RSS by default)", labels)),
       shed_peers(registry.gauge(
           "gill_overload_shed_peers",
-          "Peers currently frozen by overload shedding", labels)),
-      filter_refresh_duration_us(registry.histogram(
-          "gill_collector_filter_refresh_duration_us",
-          "Wall-clock microseconds per refresh_filters run", labels)),
-      filter_refresh_queue_us(registry.histogram(
-          "gill_collector_filter_refresh_queue_us",
-          "Microseconds a refresh job waited for an analysis worker", labels)),
-      filter_refresh_compute_us(registry.histogram(
-          "gill_collector_filter_refresh_compute_us",
-          "Microseconds a refresh job spent running the GILL pipeline", labels)) {}
+          "Peers currently frozen by overload shedding", labels)) {}
 
 Platform::Platform(PlatformConfig config)
     : config_(std::move(config)),
       own_registry_(config_.registry ? nullptr
                                      : std::make_unique<metrics::Registry>()),
       registry_(config_.registry ? config_.registry : own_registry_.get()),
-      counters_(*registry_, config_.metric_labels),
-      analysis_pool_(config_.analysis_threads >= 1 && !par::serial_forced()
-                         ? std::make_unique<par::ThreadPool>(
-                               config_.analysis_threads, registry_)
-                         : nullptr) {}
+      counters_(*registry_, config_.metric_labels) {}
 
 VpId Platform::add_peer(bgp::AsNumber peer_as, Timestamp now) {
   return add_peer_internal(peer_as, now, std::make_unique<daemon::Transport>(),
@@ -179,9 +146,6 @@ VpId Platform::add_peer_internal(
 }
 
 void Platform::step(Timestamp now) {
-  // Install any refresh job that finished since the last tick before the
-  // sessions run: this tick's updates then hit the freshest filters.
-  poll_refresh_jobs(/*block=*/false);
   update_overload(now);
   for (auto& [vp, peer] : peers_) {
     auto& health = peer.health;
@@ -202,20 +166,6 @@ void Platform::step(Timestamp now) {
     peer.daemon->poll(now);
     peer.daemon->tick(now);
     observe_health(peer, now);
-  }
-  // One refresh at a time from the periodic trigger: while a job is in
-  // flight the mirror simply keeps accumulating the next window. An
-  // ingest-only shard never triggers: the merge plane owns the pipeline.
-  if (!config_.ingest_only && refresh_jobs_.empty() &&
-      now - last_component1_ >= config_.component1_refresh &&
-      !mirror_.empty()) {
-    if (degraded_) {
-      // Degraded mode: the pipeline rerun is the most expensive thing the
-      // platform does — defer it; the mirror keeps accumulating.
-      counters_.refreshes_deferred.inc();
-    } else {
-      refresh_filters(now);
-    }
   }
 }
 
@@ -408,156 +358,39 @@ std::string to_json(const HealthSnapshot& snapshot) {
   return feed::Json(std::move(root)).dump();
 }
 
-void Platform::refresh_filters(Timestamp now,
-                               const std::vector<topo::AsCategory>& categories) {
-  // Snapshot everything the job needs as owned values: the mirrored window
-  // (the live mirror restarts empty for the next window, Fig. 9), the
-  // quarantine roster, and a copy of the score cache. The job never touches
-  // Platform state, so the event loop keeps serving sessions while it runs.
-  std::vector<VpId> quarantined_vps;
-  for (const auto& [vp, peer] : peers_) {
-    if (peer.health.status == PeerStatus::kQuarantined) {
-      quarantined_vps.push_back(vp);
-    }
-  }
-  bgp::UpdateStream mirror = std::move(mirror_);
-  mirror_ = bgp::UpdateStream{};
-  last_component1_ = now;
-  const auto submitted_at = std::chrono::steady_clock::now();
-
-  if (analysis_pool_ == nullptr || par::serial_forced()) {
-    // Historical synchronous path (analysis_threads == 0, or the
-    // GILL_ANALYSIS_SERIAL escape hatch).
-    RefreshOutcome outcome =
-        run_refresh_job(std::move(mirror), categories, score_cache_,
-                        std::move(quarantined_vps), submitted_at);
-    installed_generation_ = ++submitted_generation_;
-    install_refresh(std::move(outcome));
-    return;
-  }
-
-  RefreshJob job;
-  job.generation = ++submitted_generation_;
-  job.submitted = now;
-  job.future = analysis_pool_->submit(
-      [this, mirror = std::move(mirror), categories,
-       cache = score_cache_, quarantined_vps = std::move(quarantined_vps),
-       submitted_at]() mutable {
-        return run_refresh_job(std::move(mirror), std::move(categories),
-                               std::move(cache), std::move(quarantined_vps),
-                               submitted_at);
-      });
-  refresh_jobs_.push_back(std::move(job));
-}
-
-Platform::RefreshOutcome Platform::run_refresh_job(
-    bgp::UpdateStream mirror, std::vector<topo::AsCategory> categories,
-    anchor::ScoreCache cache, std::vector<VpId> quarantined_vps,
-    std::chrono::steady_clock::time_point submitted_at) {
-  const auto started = std::chrono::steady_clock::now();
-  if (config_.refresh_job_hook) config_.refresh_job_hook();
-  RefreshOutcome outcome;
-  outcome.queue_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                         started - submitted_at)
-                         .count();
-
-  par::ThreadPool* pool =
-      par::serial_forced() ? nullptr : analysis_pool_.get();
-
-  // Updates mirrored before a peer was quarantined are just as suspect as
-  // the flapping session that produced them: drop them pre-sampling. The
-  // per-peer scan fans out across the pool; survivors are compacted in
-  // stream order on this thread, so the pipeline input is unchanged.
-  if (!quarantined_vps.empty() && !mirror.empty()) {
-    const std::unordered_set<VpId> bad(quarantined_vps.begin(),
-                                       quarantined_vps.end());
-    const auto& stream = mirror.updates();
-    std::vector<char> keep(stream.size());
-    const auto scan = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        keep[i] = bad.count(stream[i].vp) == 0 ? 1 : 0;
-      }
-    };
-    if (pool != nullptr && stream.size() > 1) {
-      pool->parallel_for(stream.size(), scan);
-    } else {
-      scan(0, stream.size());
-    }
+FilterRefresh compute_refresh(bgp::UpdateStream mirror,
+                              const std::vector<VpId>& quarantined,
+                              const sample::GillConfig& gill,
+                              par::ThreadPool* pool, anchor::ScoreCache cache) {
+  FilterRefresh refresh;
+  if (!quarantined.empty()) {
+    const std::unordered_set<VpId> bad(quarantined.begin(), quarantined.end());
     bgp::UpdateStream kept;
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      if (keep[i]) kept.push(stream[i]);
+    for (const auto& update : mirror) {
+      if (!bad.contains(update.vp)) kept.push(update);
     }
-    outcome.purged = stream.size() - kept.size();
+    refresh.purged = mirror.size() - kept.size();
     mirror = std::move(kept);
   }
   mirror.sort();
-
-  const std::uint64_t hits_before = cache.hits;
-  const std::uint64_t misses_before = cache.misses;
   sample::PipelineRuntime runtime;
   runtime.pool = pool;
   runtime.score_cache = &cache;
-  outcome.result = sample::run_gill_pipeline(bgp::UpdateStream{}, mirror,
-                                             categories, config_.gill,
-                                             runtime);
-  outcome.cache_hits = cache.hits - hits_before;
-  outcome.cache_misses = cache.misses - misses_before;
-  outcome.cache = std::move(cache);
-  outcome.compute_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - started)
-                           .count();
-  return outcome;
+  auto result = sample::run_gill_pipeline(bgp::UpdateStream{}, mirror, {},
+                                          gill, runtime);
+  refresh.filters = std::move(result.filters);
+  refresh.anchors = std::move(result.anchors);
+  refresh.cache = std::move(cache);
+  return refresh;
 }
 
-void Platform::install_refresh(RefreshOutcome outcome) {
-  filters_ = std::move(outcome.result.filters);
-  anchors_ = std::move(outcome.result.anchors);
-  score_cache_ = std::move(outcome.cache);
-  counters_.mirror_purged_updates.inc(outcome.purged);
-  counters_.score_cache_hits.inc(outcome.cache_hits);
-  counters_.score_cache_misses.inc(outcome.cache_misses);
-  counters_.filter_refresh_queue_us.observe(
-      static_cast<double>(outcome.queue_us));
-  counters_.filter_refresh_compute_us.observe(
-      static_cast<double>(outcome.compute_us));
-  counters_.filter_refresh_duration_us.observe(
-      static_cast<double>(outcome.queue_us + outcome.compute_us));
-  counters_.filter_refreshes.inc();
-  pipeline_ran_ = true;
+void Platform::refresh_filters(par::ThreadPool* pool) {
+  FilterRefresh refresh = compute_refresh(take_mirror(), quarantined_vps(),
+                                          config_.gill, pool,
+                                          std::move(score_cache_));
+  score_cache_ = std::move(refresh.cache);
+  install_filters(std::move(refresh.filters), std::move(refresh.anchors));
 }
-
-void Platform::poll_refresh_jobs(bool block) {
-  // Harvest every completed job first, then install only the newest
-  // harvested generation: an older result would roll the filters back, so
-  // it is discarded as stale no matter which job finished first.
-  std::vector<std::pair<std::uint64_t, RefreshOutcome>> done;
-  for (auto it = refresh_jobs_.begin(); it != refresh_jobs_.end();) {
-    if (!block &&
-        it->future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-      ++it;
-      continue;
-    }
-    done.emplace_back(it->generation, it->future.get());
-    it = refresh_jobs_.erase(it);
-  }
-  std::uint64_t newest = installed_generation_;
-  for (const auto& [generation, outcome] : done) {
-    newest = std::max(newest, generation);
-  }
-  for (auto& [generation, outcome] : done) {
-    if (generation == newest && generation > installed_generation_) {
-      // The swap happens here, on the event-loop thread: daemons hold a
-      // pointer to filters_ and only ever read it between polls.
-      installed_generation_ = generation;
-      install_refresh(std::move(outcome));
-    } else {
-      counters_.filter_refresh_stale.inc();
-    }
-  }
-}
-
-void Platform::wait_for_refresh() { poll_refresh_jobs(/*block=*/true); }
 
 bgp::UpdateStream Platform::take_mirror() {
   bgp::UpdateStream mirror = std::move(mirror_);
@@ -567,15 +400,11 @@ bgp::UpdateStream Platform::take_mirror() {
 
 void Platform::install_filters(filt::FilterTable filters,
                                std::vector<VpId> anchors) {
-  // Mirrors the tail of install_refresh() without the job bookkeeping:
-  // the pipeline ran elsewhere (merge plane), this platform just adopts
-  // its output. Bumping both generation counters keeps the invariant
-  // that installed_generation_ never exceeds submitted_generation_.
+  // Daemons hold a pointer to filters_ and read it only between polls, so
+  // the swap must run on the thread that owns this platform.
   filters_ = std::move(filters);
   anchors_ = std::move(anchors);
-  installed_generation_ = ++submitted_generation_;
-  counters_.filter_refreshes.inc();
-  pipeline_ran_ = true;
+  ++generation_;
 }
 
 std::vector<VpId> Platform::quarantined_vps() const {
@@ -600,20 +429,20 @@ void Platform::forward(const bgp::Update& update) const {
   }
 }
 
-std::string Platform::published_filter_document() const {
+std::string filter_document(const filt::FilterTable& filters) {
   std::string doc =
       "# GILL published filters\n"
       "# Users can infer which BGP updates are discarded and possibly\n"
       "# missing in the database.\n";
-  doc += filters_.describe();
+  doc += filters.describe();
   return doc;
 }
 
-std::string Platform::published_anchor_document() const {
+std::string anchor_document(const std::vector<VpId>& anchors) {
   std::string doc =
       "# GILL anchor VPs\n"
       "# All updates from these VPs are processed and stored.\n";
-  for (const VpId vp : anchors_) {
+  for (const VpId vp : anchors) {
     doc += "vp" + std::to_string(vp) + "\n";
   }
   return doc;

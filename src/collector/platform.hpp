@@ -1,14 +1,15 @@
-// The GILL platform orchestrator (Fig. 9, §8-§9): manages one BGP daemon
-// per peer over in-memory transports, mirrors incoming updates for the
-// sampling algorithms, periodically re-runs Components #1/#2, regenerates
-// filters and loads them into the daemons, and publishes the two supporting
-// documents (the filter description and the anchor-VP list).
+// The GILL platform (Fig. 9, §8-§9): manages one BGP daemon per peer,
+// mirrors incoming updates for the sampling algorithms, and loads filter
+// sets into the daemons. The refresh computation (Components #1/#2 over the
+// mirror, then filter generation) is one free function, compute_refresh();
+// its periodic schedule lives in the sharded merge plane (sharded.hpp),
+// while Platform::refresh_filters() runs it once over this platform's own
+// mirror. The two supporting documents (the filter description and the
+// anchor-VP list) render from whatever filter set is installed.
 #pragma once
 
-#include <chrono>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,7 +19,6 @@
 #include "metrics/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sampling/gill_pipeline.hpp"
-#include "topology/topology.hpp"
 
 namespace gill::collect {
 
@@ -39,10 +39,10 @@ struct HealthPolicy {
 
 /// Process-wide overload policy (DESIGN.md §11). When the memory probe
 /// reads above `mem_high_watermark` bytes the platform enters a degraded
-/// mode: filter refreshes and periodic RIB snapshots are deferred, and the
-/// lowest-volume non-anchor peers are shed (frozen, like quarantine but
-/// load-driven) a few per step. Everything is re-admitted once the probe
-/// drops below `mem_low_watermark`.
+/// mode: periodic RIB snapshots are deferred (and the merge plane defers
+/// its filter refresh), and the lowest-volume non-anchor peers are shed
+/// (frozen, like quarantine but load-driven) a few per step. Everything
+/// is re-admitted once the probe drops below `mem_low_watermark`.
 struct OverloadPolicy {
   /// Bytes of process memory that trigger degraded mode; 0 disables.
   std::size_t mem_high_watermark = 0;
@@ -58,10 +58,6 @@ struct OverloadPolicy {
 };
 
 struct PlatformConfig {
-  /// Component #1 refresh period (16 days in the paper, §7).
-  Timestamp component1_refresh = 16 * 86400;
-  /// Component #2 refresh period (one year, §7).
-  Timestamp component2_refresh = 365 * 86400;
   sample::GillConfig gill;
   bgp::AsNumber local_as = 65000;
   /// Session resilience: every daemon reconnects after teardown with this
@@ -81,24 +77,6 @@ struct PlatformConfig {
   /// collector sets {{"shard","<i>"}} so N platforms sharing one registry
   /// publish distinct series instead of clobbering one another's gauges.
   metrics::Labels metric_labels;
-  /// Analysis worker threads (DESIGN.md §9). 0 keeps the historical
-  /// synchronous path: refresh_filters runs the pipeline inline on the
-  /// caller's thread. N >= 1 spawns a worker pool; refresh_filters then
-  /// snapshots the mirror, hands the pipeline to the pool and returns
-  /// immediately — the event loop keeps serving sessions and step()
-  /// installs the new filter generation when the job completes. The
-  /// GILL_ANALYSIS_SERIAL environment variable overrides this back to 0.
-  std::size_t analysis_threads = 0;
-  /// Test/chaos hook: runs on the worker at the start of every async
-  /// refresh job (e.g. to hold a job in flight deterministically while the
-  /// test asserts that sessions keep flowing). Ignored in synchronous mode.
-  std::function<void()> refresh_job_hook;
-  /// Sharded-ingest role (DESIGN.md §14): an ingest-only platform owns
-  /// sessions and mirrors their updates, but never runs the sampling
-  /// pipeline itself — step() skips the periodic refresh trigger. The
-  /// merge plane harvests the mirror (take_mirror()) and pushes the
-  /// merged pipeline result back in (install_filters()).
-  bool ingest_only = false;
   /// VP-id allocator. Empty keeps the historical platform-local counter;
   /// the sharded collector injects one shared atomic counter so ids stay
   /// unique across shards and independent of which shard a session lands
@@ -160,6 +138,32 @@ std::string to_json(const HealthSnapshot& snapshot);
 /// and fan the same number out to every shard's watermark check (the
 /// watermark must act globally; see OverloadPolicy::memory_probe).
 std::size_t process_rss_bytes();
+
+/// What one filter refresh produces: the new filter set and anchor roster,
+/// the score cache to carry into the next refresh, and how many mirrored
+/// updates of quarantined VPs were dropped before sampling.
+struct FilterRefresh {
+  filt::FilterTable filters;
+  std::vector<VpId> anchors;
+  anchor::ScoreCache cache;
+  std::size_t purged = 0;
+};
+
+/// The one filter-refresh computation (Fig. 9), in this order: drop the
+/// updates of `quarantined` VPs (a flapping feed's mirrored data is as
+/// suspect as the session that produced it), sort the window, then run
+/// the GILL pipeline over it with `cache` carried from the last refresh.
+/// Pure: it touches only its arguments, so it may run on a worker. `pool`
+/// (may be null) fans out the pipeline's parallel stages.
+FilterRefresh compute_refresh(bgp::UpdateStream mirror,
+                              const std::vector<VpId>& quarantined,
+                              const sample::GillConfig& gill,
+                              par::ThreadPool* pool, anchor::ScoreCache cache);
+
+/// The two published documents (§9), rendered from an installed filter set
+/// and anchor roster.
+std::string filter_document(const filt::FilterTable& filters);
+std::string anchor_document(const std::vector<VpId>& anchors);
 
 /// One managed peering session. `remote` is null for sessions whose peer
 /// lives across a real socket (add_remote_peer): there is nothing local to
@@ -234,38 +238,18 @@ class Platform {
   metrics::Registry& metrics() const noexcept { return *registry_; }
 
   /// Drives all sessions: polls daemons and remotes, expires hold timers,
-  /// installs any completed asynchronous refresh job, and kicks off a new
-  /// refresh when a sampling period elapsed.
+  /// and applies the quarantine and overload policies.
   void step(Timestamp now);
 
-  /// Re-runs the GILL pipeline on the mirrored data and installs the new
-  /// filters (invoked automatically by step(); public for tests/examples).
-  /// With analysis_threads == 0 this is the historical synchronous call;
-  /// otherwise it snapshots the mirror, submits the pipeline to the worker
-  /// pool and returns immediately — the result is installed by a later
-  /// step() (or wait_for_refresh()).
-  void refresh_filters(Timestamp now,
-                       const std::vector<topo::AsCategory>& categories = {});
+  /// One synchronous refresh over this platform's own mirror: harvests the
+  /// mirror (the window restarts empty) and the quarantine roster, runs
+  /// compute_refresh() on the calling thread (its parallel stages on
+  /// `pool` when given) and installs the result. There is no schedule
+  /// here; the periodic trigger is the merge plane's (ShardedPlatform).
+  void refresh_filters(par::ThreadPool* pool = nullptr);
 
-  /// True while at least one asynchronous refresh job is queued/computing.
-  bool refresh_in_flight() const noexcept { return !refresh_jobs_.empty(); }
   /// Monotonic id of the installed filter set; bumps on every install.
-  /// A submitted job carries the generation it will produce; completed
-  /// jobs older than the newest submission are discarded as stale.
-  std::uint64_t filter_generation() const noexcept {
-    return installed_generation_;
-  }
-  /// Blocks until every in-flight refresh job completed and its result was
-  /// installed or discarded (tests, shutdown). No-op in synchronous mode.
-  void wait_for_refresh();
-  /// Workers in the analysis pool (0 = synchronous mode).
-  std::size_t analysis_thread_count() const noexcept {
-    return analysis_pool_ ? analysis_pool_->thread_count() : 0;
-  }
-  /// The cross-refresh pairwise-score cache (hit/miss counters for tests).
-  const anchor::ScoreCache& score_cache() const noexcept {
-    return score_cache_;
-  }
+  std::uint64_t filter_generation() const noexcept { return generation_; }
 
   /// All updates retained so far (the public database).
   const daemon::MrtStore& store() const noexcept { return store_; }
@@ -281,26 +265,29 @@ class Platform {
   const bgp::UpdateStream& mirror() const noexcept { return mirror_; }
 
   /// Drains the mirror (the window restarts empty) and hands it to the
-  /// caller — the sharded merge plane's harvest primitive. Must run on the
-  /// thread that owns this platform (the shard's loop thread).
+  /// caller — the refresh's harvest primitive. Must run on the thread that
+  /// owns this platform (a shard's loop thread).
   bgp::UpdateStream take_mirror();
 
-  /// Installs an externally computed filter set and anchor roster and
-  /// bumps the filter generation — the write half of the sharded split:
-  /// the merge plane runs ONE pipeline over the merged mirrors, then
-  /// installs the identical result into every shard's platform.
+  /// Installs a computed filter set and anchor roster and bumps the filter
+  /// generation. The merge plane runs ONE pipeline over the merged mirrors,
+  /// then installs the identical result into every shard's platform.
   void install_filters(filt::FilterTable filters, std::vector<VpId> anchors);
 
-  /// VPs currently frozen by the quarantine policy (merge-plane input:
-  /// their mirrored updates are purged before sampling).
+  /// VPs currently frozen by the quarantine policy (refresh input: their
+  /// mirrored updates are purged before sampling).
   std::vector<VpId> quarantined_vps() const;
 
   const filt::FilterTable& filters() const noexcept { return filters_; }
   const std::vector<VpId>& anchors() const noexcept { return anchors_; }
 
   /// The two published documents (§9).
-  std::string published_filter_document() const;
-  std::string published_anchor_document() const;
+  std::string published_filter_document() const {
+    return filter_document(filters_);
+  }
+  std::string published_anchor_document() const {
+    return anchor_document(anchors_);
+  }
 
   /// §14 "custom services": a peering operator registers forwarding rules
   /// so that updates for their prefixes are pushed to them *before* any
@@ -328,52 +315,15 @@ class Platform {
 
     metrics::Counter& mirrored_updates;
     metrics::Counter& forwarded_updates;
-    metrics::Counter& filter_refreshes;
-    metrics::Counter& filter_refresh_stale;
-    metrics::Counter& mirror_purged_updates;
     metrics::Counter& quarantines;
-    metrics::Counter& score_cache_hits;
-    metrics::Counter& score_cache_misses;
     metrics::Counter& sheds;
     metrics::Counter& readmits;
-    metrics::Counter& refreshes_deferred;
     metrics::Gauge& peers;
     metrics::Gauge& quarantined_peers;
     metrics::Gauge& degraded;
     metrics::Gauge& memory_bytes;
     metrics::Gauge& shed_peers;
-    metrics::Histogram& filter_refresh_duration_us;
-    metrics::Histogram& filter_refresh_queue_us;
-    metrics::Histogram& filter_refresh_compute_us;
   };
-
-  /// What a refresh job hands back to the event-loop thread: the pipeline
-  /// output plus the bookkeeping the installer records. Jobs own every
-  /// input (mirror snapshot, config copy, cache copy) — they never touch
-  /// Platform state, so the loop keeps serving sessions while they run.
-  struct RefreshOutcome {
-    sample::GillPipelineResult result;
-    anchor::ScoreCache cache;
-    std::size_t purged = 0;       // mirrored updates dropped (quarantined VPs)
-    std::uint64_t cache_hits = 0;    // pair scores served from the cache
-    std::uint64_t cache_misses = 0;  // pair scores recomputed
-    std::int64_t queue_us = 0;    // submit -> worker pickup
-    std::int64_t compute_us = 0;  // worker pickup -> pipeline done
-  };
-  struct RefreshJob {
-    std::uint64_t generation = 0;
-    Timestamp submitted = 0;
-    std::future<RefreshOutcome> future;
-  };
-
-  RefreshOutcome run_refresh_job(
-      bgp::UpdateStream mirror, std::vector<topo::AsCategory> categories,
-      anchor::ScoreCache cache, std::vector<VpId> quarantined_vps,
-      std::chrono::steady_clock::time_point submitted_at);
-  void install_refresh(RefreshOutcome outcome);
-  /// Harvests completed jobs: installs the newest generation, discards
-  /// stale ones. `block` waits for completion instead of polling.
-  void poll_refresh_jobs(bool block);
 
   void forward(const bgp::Update& update) const;
   VpId add_peer_internal(bgp::AsNumber peer_as, Timestamp now,
@@ -401,10 +351,6 @@ class Platform {
   std::unique_ptr<metrics::Registry> own_registry_;  // when none configured
   metrics::Registry* registry_;
   PlatformCounters counters_;
-  /// Jobs own every input they read; the only Platform member a job may
-  /// touch is config_ (the refresh_job_hook), which is declared earlier and
-  /// therefore outlives the pool's drain-and-join destructor.
-  std::unique_ptr<par::ThreadPool> analysis_pool_;
   std::vector<std::pair<net::Prefix, ForwardingSink>> forwarding_rules_;
   ForwardingSink stream_publisher_;
   std::map<VpId, Peer> peers_;
@@ -413,16 +359,13 @@ class Platform {
   mrt::Sink* archive_ = nullptr;
   filt::FilterTable filters_;
   std::vector<VpId> anchors_;
-  /// Temporary full mirror feeding the sampling algorithms (Fig. 9); the
-  /// orchestrator drops it after each refresh.
+  /// Temporary full mirror feeding the sampling algorithms (Fig. 9); a
+  /// refresh harvests it and the next window restarts empty.
   bgp::UpdateStream mirror_;
-  Timestamp last_component1_ = 0;
-  bool pipeline_ran_ = false;
   bool degraded_ = false;
+  /// Carried across refresh_filters() calls.
   anchor::ScoreCache score_cache_;
-  std::vector<RefreshJob> refresh_jobs_;
-  std::uint64_t submitted_generation_ = 0;
-  std::uint64_t installed_generation_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 /// The platform-growth model behind Fig. 2 and Fig. 3: calibrated to the

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <unordered_set>
 #include <utility>
 
 namespace gill::collect {
@@ -33,17 +32,25 @@ ShardedPlatform::ShardedPlatform(ShardedPlatformConfig config)
                     ? std::make_unique<net::SharedAcceptGovernor>(
                           config_.accept_rate, /*burst=*/0, registry_)
                     : nullptr),
-      merge_pool_(config_.analysis_threads >= 1 && !par::serial_forced()
-                      ? std::make_unique<par::ThreadPool>(
-                            config_.analysis_threads, registry_)
-                      : nullptr),
-      merges_(registry_->counter(
-          "gill_sharded_merges_total",
-          "Merge-plane refreshes: per-shard mirrors stable-merged into one "
-          "pipeline run whose result was installed fleet-wide")),
-      merges_deferred_(registry_->counter(
-          "gill_sharded_merges_deferred_total",
-          "Periodic merged refreshes skipped while a shard was degraded")),
+      refreshes_(registry_->counter(
+          "gill_collector_filter_refreshes_total",
+          "Filter refreshes installed fleet-wide: per-shard mirrors "
+          "stable-merged into one pipeline run")),
+      refreshes_deferred_(registry_->counter(
+          "gill_overload_refreshes_deferred_total",
+          "Due filter refreshes deferred while a shard was degraded")),
+      purged_updates_(registry_->counter(
+          "gill_collector_mirror_purged_updates_total",
+          "Mirrored updates dropped because their peer was quarantined")),
+      cache_hits_(registry_->counter(
+          "gill_collector_score_cache_hits_total",
+          "Pairwise VP scores served from the cross-refresh cache")),
+      cache_misses_(registry_->counter(
+          "gill_collector_score_cache_misses_total",
+          "Pairwise VP scores recomputed (cache miss or stale epoch)")),
+      refresh_duration_us_(registry_->histogram(
+          "gill_collector_filter_refresh_duration_us",
+          "Wall-clock microseconds from a refresh's harvest to its result")),
       merged_updates_(registry_->counter(
           "gill_sharded_merged_updates_total",
           "Updates harvested from per-shard mirrors into merged streams")),
@@ -57,8 +64,6 @@ ShardedPlatform::ShardedPlatform(ShardedPlatformConfig config)
     auto state = std::make_unique<ShardState>();
     PlatformConfig shard_config = config_.platform;
     shard_config.registry = registry_;
-    shard_config.ingest_only = true;     // the merge plane owns the pipeline
-    shard_config.analysis_threads = 0;   // ... and the analysis pool
     shard_config.metric_labels.emplace_back("shard", std::to_string(shard));
     shard_config.vp_allocator = [this] {
       return next_vp_.fetch_add(1, std::memory_order_relaxed);
@@ -75,16 +80,17 @@ ShardedPlatform::ShardedPlatform(ShardedPlatformConfig config)
   shard_gauge_.set(static_cast<double>(shards_.size()));
 }
 
-ShardedPlatform::~ShardedPlatform() { stop(); }
+ShardedPlatform::~ShardedPlatform() {
+  stop();
+  if (job_.valid()) job_.wait();  // the job reads config_ and a histogram
+}
 
-bool ShardedPlatform::listen(const std::string& host, std::uint16_t port,
-                             net::ShardedListener::Mode mode) {
+bool ShardedPlatform::listen(const std::string& host, std::uint16_t port) {
   return listener_.listen(
       host, port,
       [this](std::size_t shard, int fd, std::string peer_ip, std::uint16_t) {
         accept_session(shard, fd, peer_ip);
-      },
-      mode);
+      });
 }
 
 void ShardedPlatform::accept_session(std::size_t shard, int fd,
@@ -188,18 +194,21 @@ void ShardedPlatform::control_tick(Timestamp now) {
   rss_bytes_.store(rss_probe_(), std::memory_order_relaxed);
   drain_stream();
   poll_refresh();
-  if (last_refresh_ == 0) last_refresh_ = now;  // anchor the first period
-  if (config_.platform.component1_refresh > 0 && !refresh_in_flight() &&
-      now - last_refresh_ >= config_.platform.component1_refresh) {
-    if (degraded()) {
-      // Same policy as the single platform: the pipeline rerun is the most
-      // expensive thing we do — defer it, the mirrors keep accumulating.
-      merges_deferred_.inc();
-      last_refresh_ = now;
-    } else {
-      refresh_filters(now);
-    }
+  if (!last_refresh_) last_refresh_ = now;  // the first period starts here
+  if (config_.component1_refresh == 0 || refresh_in_flight() ||
+      now - *last_refresh_ < config_.component1_refresh) {
+    return;
   }
+  if (degraded()) {
+    // The pipeline rerun is the most expensive thing we do: defer it while
+    // memory is high. The period is not restarted, so the refresh stays due
+    // and runs at the first tick after recovery; the mirrors keep
+    // accumulating meanwhile.
+    if (!refresh_deferred_) refreshes_deferred_.inc();
+    refresh_deferred_ = true;
+    return;
+  }
+  refresh_filters(now);
 }
 
 void ShardedPlatform::drain_stream() {
@@ -307,7 +316,9 @@ bgp::UpdateStream ShardedPlatform::merged_rib_dump(Timestamp time) const {
 }
 
 void ShardedPlatform::refresh_filters(Timestamp now) {
+  if (refresh_in_flight()) return;  // one job at a time; its window is its own
   last_refresh_ = now;
+  refresh_deferred_ = false;
   std::vector<VpId> quarantined;
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     std::vector<VpId> part = shards_.call(shard, [this, shard] {
@@ -318,51 +329,41 @@ void ShardedPlatform::refresh_filters(Timestamp now) {
   bgp::UpdateStream mirror = take_merged_mirror();
   if (mirror.empty()) return;
 
-  if (merge_pool_ == nullptr || par::serial_forced()) {
-    install(run_merge_job(std::move(mirror), std::move(quarantined),
-                          score_cache_));
+  // The job owns its inputs (merged window, quarantine roster, a copy of
+  // the score cache); of the platform it reads only config_ and the
+  // duration histogram, so the control thread keeps running meanwhile.
+  par::ThreadPool* pool =
+      par::serial_forced() ? nullptr : config_.analysis_pool;
+  auto job = [this, pool, mirror = std::move(mirror),
+              quarantined = std::move(quarantined), cache = score_cache_,
+              started = std::chrono::steady_clock::now()]() mutable {
+    FilterRefresh refresh =
+        compute_refresh(std::move(mirror), quarantined,
+                        config_.platform.gill, pool, std::move(cache));
+    refresh_duration_us_.observe(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - started)
+            .count()));
+    return refresh;
+  };
+  if (pool == nullptr) {
+    install(job());
     return;
   }
-  merge_job_ = merge_pool_->submit(
-      [this, mirror = std::move(mirror), quarantined = std::move(quarantined),
-       cache = score_cache_]() mutable {
-        return run_merge_job(std::move(mirror), std::move(quarantined),
-                             std::move(cache));
-      });
+  job_ = pool->submit(std::move(job));
 }
 
-ShardedPlatform::MergeOutcome ShardedPlatform::run_merge_job(
-    bgp::UpdateStream mirror, std::vector<VpId> quarantined,
-    anchor::ScoreCache cache) const {
-  // Same pre-sampling hygiene as Platform::run_refresh_job: a quarantined
-  // feed's mirrored updates are as suspect as the flapping session.
-  if (!quarantined.empty()) {
-    const std::unordered_set<VpId> bad(quarantined.begin(), quarantined.end());
-    bgp::UpdateStream kept;
-    for (const auto& update : mirror.updates()) {
-      if (bad.count(update.vp) == 0) kept.push(update);
-    }
-    mirror = std::move(kept);
-  }
-  mirror.sort();
-  sample::PipelineRuntime runtime;
-  runtime.pool = par::serial_forced() ? nullptr : merge_pool_.get();
-  runtime.score_cache = &cache;
-  auto result = sample::run_gill_pipeline(bgp::UpdateStream{}, mirror, {},
-                                          config_.platform.gill, runtime);
-  MergeOutcome outcome;
-  outcome.filters = std::move(result.filters);
-  outcome.anchors = std::move(result.anchors);
-  outcome.cache = std::move(cache);
-  return outcome;
-}
-
-void ShardedPlatform::install(MergeOutcome outcome) {
-  filters_ = std::move(outcome.filters);
-  anchors_ = std::move(outcome.anchors);
-  score_cache_ = std::move(outcome.cache);
+void ShardedPlatform::install(FilterRefresh refresh) {
+  refreshes_.inc();
+  purged_updates_.inc(refresh.purged);
+  // score_cache_ is the copy the job started from: the difference is this
+  // refresh's share of the cache's lifetime counters.
+  cache_hits_.inc(refresh.cache.hits - score_cache_.hits);
+  cache_misses_.inc(refresh.cache.misses - score_cache_.misses);
+  filters_ = std::move(refresh.filters);
+  anchors_ = std::move(refresh.anchors);
+  score_cache_ = std::move(refresh.cache);
   ++generation_;
-  merges_.inc();
   // Every shard adopts the identical result: the fleet filters exactly as
   // one unsharded platform would.
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -373,35 +374,14 @@ void ShardedPlatform::install(MergeOutcome outcome) {
 }
 
 void ShardedPlatform::poll_refresh() {
-  if (!merge_job_.valid() ||
-      merge_job_.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-    return;
+  if (refresh_in_flight() && job_.wait_for(std::chrono::seconds(0)) ==
+                                 std::future_status::ready) {
+    install(job_.get());
   }
-  install(merge_job_.get());
 }
 
 void ShardedPlatform::wait_for_refresh() {
-  if (merge_job_.valid()) install(merge_job_.get());
-}
-
-std::string ShardedPlatform::published_filter_document() const {
-  std::string doc =
-      "# GILL published filters\n"
-      "# Users can infer which BGP updates are discarded and possibly\n"
-      "# missing in the database.\n";
-  doc += filters_.describe();
-  return doc;
-}
-
-std::string ShardedPlatform::published_anchor_document() const {
-  std::string doc =
-      "# GILL anchor VPs\n"
-      "# All updates from these VPs are processed and stored.\n";
-  for (const VpId vp : anchors_) {
-    doc += "vp" + std::to_string(vp) + "\n";
-  }
-  return doc;
+  if (refresh_in_flight()) install(job_.get());
 }
 
 bool ShardedPlatform::save_archive(const std::string& path) const {

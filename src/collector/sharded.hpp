@@ -1,7 +1,10 @@
 // The sharded ingest plane (DESIGN.md §14): N ingest shards — one
-// net::EventLoop, one ingest-only Platform, one SO_REUSEPORT listener each
-// — plus the merge plane that stitches their per-shard mirrors back into
-// ONE deterministic stream for the sampling pipeline.
+// net::EventLoop, one Platform, one SO_REUSEPORT listener each — plus the
+// merge plane that stitches their per-shard mirrors back into ONE
+// deterministic stream for the sampling pipeline. The merge plane is the
+// collector's only filter-refresh schedule: the periodic trigger, its
+// deferral while degraded, the (at most one) job in flight and the
+// fleet-wide install all live here.
 //
 // Ownership model. A session lives and dies on exactly one shard: its
 // TcpTransport, BGP daemon FSM, token buckets, RIB and update mirror are
@@ -36,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,10 +80,9 @@ class LockedSink : public mrt::Sink {
 struct ShardedPlatformConfig {
   /// Ingest shards (loops/threads). Clamped to at least 1.
   std::size_t shards = 1;
-  /// Template for every shard's Platform. ingest_only, vp_allocator,
-  /// metric_labels, analysis_threads and overload.memory_probe are
-  /// overridden per shard; everything else (local_as, gr, retry, health,
-  /// gill, refresh periods, registry) applies as given.
+  /// Template for every shard's Platform. vp_allocator, metric_labels and
+  /// overload.memory_probe are overridden per shard; everything else
+  /// (local_as, gr, retry, health, gill, registry) applies as given.
   PlatformConfig platform;
   /// Per-session ingest policing, applied to every accepted/dialed socket.
   net::IngestLimits ingest_limits;
@@ -90,9 +93,13 @@ struct ShardedPlatformConfig {
   double accept_rate = 0;
   /// Per-session RIB snapshot period, seconds (0 disables).
   Timestamp rib_dump_interval = 0;
-  /// Merge-plane analysis pool: refresh jobs (the ONE pipeline run over
-  /// the merged mirrors) run here. 0 = synchronous on the control thread.
-  std::size_t analysis_threads = 0;
+  /// Component #1 refresh period (16 days in the paper, §7). The first
+  /// period starts at the first control_tick(); 0 disables the trigger.
+  Timestamp component1_refresh = 16 * 86400;
+  /// Executor for refresh jobs (the ONE pipeline run over the merged
+  /// mirrors), owned by the caller. nullptr runs the refresh inline on the
+  /// control thread, and so does GILL_ANALYSIS_SERIAL.
+  par::ThreadPool* analysis_pool = nullptr;
   /// Logical clock (seconds) stamped on sessions and updates. Must be
   /// callable from any shard thread. Defaults to the wall clock; tests
   /// inject a fixed clock to make merged snapshots byte-comparable.
@@ -106,16 +113,15 @@ struct ShardedPlatformConfig {
 class ShardedPlatform {
  public:
   explicit ShardedPlatform(ShardedPlatformConfig config);
+  /// Stops the fleet and waits for an in-flight refresh job.
   ~ShardedPlatform();
   ShardedPlatform(const ShardedPlatform&) = delete;
   ShardedPlatform& operator=(const ShardedPlatform&) = delete;
 
   // --- setup (call BEFORE start()) -----------------------------------------
-  /// Binds the BGP listen port across the fleet (SO_REUSEPORT, or the
-  /// round-robin dispatcher in kDispatcher mode / as fallback).
-  bool listen(const std::string& host, std::uint16_t port,
-              net::ShardedListener::Mode mode =
-                  net::ShardedListener::Mode::kAuto);
+  /// Binds the BGP listen port on every shard (one SO_REUSEPORT listener
+  /// each). False when the listener group cannot bind.
+  bool listen(const std::string& host, std::uint16_t port);
   /// Dials an outbound peering; sessions are spread round-robin.
   bool dial(const std::string& host, std::uint16_t port, bgp::AsNumber asn);
   /// Tees every session's stored records into `sink` IN ADDITION to the
@@ -138,16 +144,13 @@ class ShardedPlatform {
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::uint16_t port() const noexcept { return listener_.port(); }
-  bool reuse_port_active() const noexcept {
-    return listener_.reuse_port_active();
-  }
-  /// Dispatcher-mode fd hand-offs (0 while SO_REUSEPORT is active).
-  std::size_t handoffs() const noexcept { return listener_.handoffs(); }
 
   // --- control plane (call from ONE control thread only) -------------------
   /// The per-tick control work: samples the memory probe into the shared
   /// watermark reading, drains the stream outboxes, installs a completed
-  /// merge job, and triggers the periodic merged refresh when due.
+  /// refresh job, and triggers the periodic refresh when due. A due
+  /// refresh is deferred while any shard is degraded and runs at the first
+  /// tick after memory recovers (DESIGN.md §11).
   void control_tick(Timestamp now);
   /// Fans queued stream updates out to the publisher (subset of
   /// control_tick for callers with their own cadence).
@@ -169,16 +172,17 @@ class ShardedPlatform {
   /// shard-count-invariant by the same argument as the mirror.
   bgp::UpdateStream merged_rib_dump(Timestamp time) const;
 
-  /// The merge-plane refresh: harvest + stable merge + ONE pipeline run +
-  /// install the identical (filters, anchors) into every shard. Runs on
-  /// the analysis pool when configured (install happens in a later
-  /// control_tick/poll_refresh), synchronously otherwise. No-op on an
-  /// empty merged mirror.
+  /// The merge-plane refresh: harvest + stable merge + ONE
+  /// compute_refresh() + install the identical (filters, anchors) into
+  /// every shard. Runs on the analysis pool when configured (installed by
+  /// a later control_tick/poll_refresh), inline otherwise. No-op on an
+  /// empty merged mirror, and while a job is in flight: the mirrors keep
+  /// accumulating the next window.
   void refresh_filters(Timestamp now);
-  bool refresh_in_flight() const noexcept { return merge_job_.valid(); }
-  /// Installs a completed merge job (non-blocking).
+  bool refresh_in_flight() const noexcept { return job_.valid(); }
+  /// Installs a completed refresh job (non-blocking).
   void poll_refresh();
-  /// Blocks until any in-flight merge job is installed.
+  /// Blocks until any in-flight refresh job is installed.
   void wait_for_refresh();
   std::uint64_t filter_generation() const noexcept { return generation_; }
 
@@ -186,8 +190,12 @@ class ShardedPlatform {
   /// stable, so BMP ingest can hold a pointer).
   const filt::FilterTable& filters() const noexcept { return filters_; }
   const std::vector<VpId>& anchors() const noexcept { return anchors_; }
-  std::string published_filter_document() const;
-  std::string published_anchor_document() const;
+  std::string published_filter_document() const {
+    return filter_document(filters_);
+  }
+  std::string published_anchor_document() const {
+    return anchor_document(anchors_);
+  }
 
   /// Concatenates the per-shard MRT stores into one archive file. Shard
   /// order, NOT canonical across shard counts — an operator dump, not the
@@ -214,22 +222,12 @@ class ShardedPlatform {
     std::vector<bgp::Update> outbox;
   };
 
-  /// What a merge job computes away from the control thread.
-  struct MergeOutcome {
-    filt::FilterTable filters;
-    std::vector<VpId> anchors;
-    anchor::ScoreCache cache;
-  };
-
   /// Runs on the owning shard's thread (ShardedListener contract).
   void accept_session(std::size_t shard, int fd, const std::string& peer_ip);
   /// One shard's tick body (shard thread): step the platform, sync sockets.
   void step_shard(std::size_t shard);
   Timestamp now() const { return clock_(); }
-  MergeOutcome run_merge_job(bgp::UpdateStream mirror,
-                             std::vector<VpId> quarantined,
-                             anchor::ScoreCache cache) const;
-  void install(MergeOutcome outcome);
+  void install(FilterRefresh refresh);
 
   ShardedPlatformConfig config_;
   std::function<Timestamp()> clock_;
@@ -249,16 +247,21 @@ class ShardedPlatform {
   std::atomic<std::size_t> rss_bytes_{0};
 
   // Merge plane (control-thread state).
-  std::unique_ptr<par::ThreadPool> merge_pool_;
-  std::future<MergeOutcome> merge_job_;
+  std::future<FilterRefresh> job_;  // at most one refresh in flight
   filt::FilterTable filters_;
   std::vector<VpId> anchors_;
   anchor::ScoreCache score_cache_;
   std::uint64_t generation_ = 0;
-  Timestamp last_refresh_ = 0;
+  /// Start of the current refresh period; unset until the first tick.
+  std::optional<Timestamp> last_refresh_;
+  bool refresh_deferred_ = false;  // the due refresh was counted deferred
   std::size_t next_dial_shard_ = 0;
-  metrics::Counter& merges_;
-  metrics::Counter& merges_deferred_;
+  metrics::Counter& refreshes_;
+  metrics::Counter& refreshes_deferred_;
+  metrics::Counter& purged_updates_;
+  metrics::Counter& cache_hits_;
+  metrics::Counter& cache_misses_;
+  metrics::Histogram& refresh_duration_us_;
   metrics::Counter& merged_updates_;
   metrics::Counter& stream_drained_;
   metrics::Gauge& shard_gauge_;

@@ -9,6 +9,7 @@
 #include "mrt/mrt.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace gill::harness {
 
@@ -208,9 +209,11 @@ ScenarioVerdict ScenarioDriver::run_tcp() {
 }
 
 ScenarioVerdict ScenarioDriver::run_in_memory() {
-  collect::PlatformConfig platform_config;
-  platform_config.analysis_threads = config_.analysis_threads;
-  collect::Platform platform(platform_config);
+  collect::Platform platform;
+  std::unique_ptr<par::ThreadPool> analysis_pool;
+  if (config_.analysis_threads > 0) {
+    analysis_pool = std::make_unique<par::ThreadPool>(config_.analysis_threads);
+  }
   VerdictScorer scorer(*scenario_);
 
   double logical_ms = 0.0;
@@ -292,8 +295,7 @@ ScenarioVerdict ScenarioDriver::run_in_memory() {
   // Exercise the analysis pool after the replay (determinism across thread
   // counts must include a full refresh; doing it post-replay keeps filters
   // from eating the evidence mid-run).
-  platform.refresh_filters(now_s());
-  platform.wait_for_refresh();
+  platform.refresh_filters(analysis_pool.get());
   pump(25.0);
 
   archived_bytes_ = platform.store().writer().buffer();

@@ -35,7 +35,8 @@ struct DriverConfig {
   double settle_ms = 2500.0;
   /// Hard watchdog on the whole run.
   double timeout_ms = 60000.0;
-  // In-memory mode: the embedded platform's analysis pool size.
+  // In-memory mode: workers for the post-replay refresh's parallel stages
+  // (0 runs them serially).
   std::size_t analysis_threads = 0;
   /// Ingest shards the TARGET collector runs with (--ingest-shards); the
   /// driver only records it in the verdict, the collector owns the plane.

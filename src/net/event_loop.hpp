@@ -102,8 +102,7 @@ class EventLoop {
 
   /// Enqueues `task` to run on the loop thread during its next iteration
   /// and wakes the loop (eventfd). THREAD-SAFE — this is the cross-shard
-  /// hand-off primitive: an accept dispatcher posts adopted fds to the
-  /// owning shard, the merge plane posts mirror harvests and filter
+  /// hand-off primitive: the merge plane posts mirror harvests and filter
   /// installs. Tasks run in post order, after fd dispatch, before timers.
   /// Returns false when the loop has no wakeup fd (construction failed).
   bool post(std::function<void()> task);

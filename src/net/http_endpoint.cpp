@@ -160,15 +160,8 @@ bool HttpEndpoint::route(std::string path, Handler handler) {
 }
 
 bool HttpEndpoint::route(std::string path, RouteHandler handler) {
-  if (routes_.contains(path) || aliases_.contains(path)) return false;
+  if (routes_.contains(path)) return false;
   routes_.emplace(std::move(path), std::move(handler));
-  return true;
-}
-
-bool HttpEndpoint::alias(std::string path, std::string target) {
-  if (routes_.contains(path) || aliases_.contains(path)) return false;
-  if (!routes_.contains(target)) return false;  // alias to nothing
-  aliases_.emplace(std::move(path), std::move(target));
   return true;
 }
 
@@ -298,11 +291,7 @@ void HttpEndpoint::handle_request(Connection& connection) {
     const std::string_view target =
         line.substr(method_end + 1, target_end - method_end - 1);
     const HttpRequest parsed = parse_target(target);
-    auto it = routes_.find(parsed.path);
-    if (it == routes_.end()) {
-      const auto alias = aliases_.find(parsed.path);
-      if (alias != aliases_.end()) it = routes_.find(alias->second);
-    }
+    const auto it = routes_.find(parsed.path);
     if (method != "GET") {
       bad_requests_.inc();
       response = error_response(405, "method_not_allowed",

@@ -2,8 +2,7 @@
 // versioned (`/v1/...`): GET /v1/metrics (Prometheus text exposition
 // straight from a metrics::Registry), GET /v1/healthz (JSON), the archive's
 // data-retrieval routes (/v1/data, /v1/segments) and the live distribution
-// plane (/v1/stream, see net/stream.hpp). Alternate spellings of a route
-// can be registered with alias(). Deliberately tiny: GET only, no
+// plane (/v1/stream, see net/stream.hpp). Deliberately tiny: GET only, no
 // keep-alive (Connection: close), 8 KiB request cap, one response per
 // connection. A Prometheus scraper, `curl` and a streaming consumer are the
 // entire client population.
@@ -105,12 +104,6 @@ class HttpEndpoint {
   /// Registers a GET route that sees the parsed request (query params) and
   /// may answer with a streaming (chunked) response.
   bool route(std::string path, RouteHandler handler);
-  /// Registers `path` as an alias dispatching to `target`'s handler, e.g.
-  /// alias("/v2/metrics", "/v1/metrics") when a future version keeps a
-  /// route unchanged. The target must already be routed; duplicates are
-  /// rejected like route(). (The pre-/v1 unversioned spellings were served
-  /// through this for one release and are gone now — they answer 404.)
-  bool alias(std::string path, std::string target);
   /// Convenience: routes GET /v1/metrics to
   /// `registry.expose_prometheus()` with the v0.0.4 content type.
   /// `registry` must outlive the endpoint.
@@ -169,7 +162,6 @@ class HttpEndpoint {
   metrics::Registry& registry_;
   std::unique_ptr<class TcpListener> listener_;
   std::map<std::string, RouteHandler> routes_;
-  std::map<std::string, std::string> aliases_;  // alias path -> canonical
   std::map<int, Connection> connections_;
   std::map<StreamId, int> streams_;  // live stream id -> fd
   StreamId next_stream_id_ = 1;

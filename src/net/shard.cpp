@@ -4,12 +4,6 @@
 
 namespace gill::net {
 
-namespace {
-metrics::Registry& resolve(metrics::Registry* registry) {
-  return registry != nullptr ? *registry : metrics::default_registry();
-}
-}  // namespace
-
 ShardSet::ShardSet(std::size_t count, std::uint32_t granularity_ms) {
   const std::size_t n = count > 0 ? count : 1;
   loops_.reserve(n);
@@ -47,66 +41,33 @@ void ShardSet::post(std::size_t shard, std::function<void()> task) {
 
 ShardedListener::ShardedListener(ShardSet& shards,
                                  metrics::Registry* registry)
-    : shards_(&shards),
-      registry_(registry),
-      handoffs_(resolve(registry).counter(
-          "gill_net_shard_handoffs_total",
-          "Accepted fds round-robined to another shard's loop (dispatcher "
-          "fallback; 0 while SO_REUSEPORT sharding is active)")) {}
+    : shards_(&shards), registry_(registry) {}
 
 ShardedListener::~ShardedListener() { close(); }
 
 bool ShardedListener::listen(const std::string& host, std::uint16_t port,
-                             AcceptCallback on_accept, Mode mode) {
+                             AcceptCallback on_accept) {
   close();
   on_accept_ = std::move(on_accept);
-
-  if (mode == Mode::kAuto) {
-    // One SO_REUSEPORT listener per shard. The first bind resolves an
-    // ephemeral port; the siblings must then join that exact port, so any
-    // failure past the first tears the group down and falls back.
-    bool ok = true;
-    for (std::size_t shard = 0; shard < shards_->size(); ++shard) {
-      auto listener =
-          std::make_unique<TcpListener>(shards_->loop(shard), registry_);
-      const std::uint16_t bind_port = shard == 0 ? port : port_;
-      if (!listener->listen(
-              host, bind_port,
-              [this, shard](int fd, std::string ip, std::uint16_t p) {
-                on_accept_(shard, fd, std::move(ip), p);
-              },
-              /*backlog=*/128, /*reuse_port=*/true)) {
-        ok = false;
-        break;
-      }
-      port_ = listener->port();
-      listeners_.push_back(std::move(listener));
+  // One SO_REUSEPORT listener per shard. The first bind resolves an
+  // ephemeral port; the siblings must then join that exact port, so any
+  // failure past the first tears the whole group down.
+  for (std::size_t shard = 0; shard < shards_->size(); ++shard) {
+    auto listener =
+        std::make_unique<TcpListener>(shards_->loop(shard), registry_);
+    const std::uint16_t bind_port = shard == 0 ? port : port_;
+    if (!listener->listen(
+            host, bind_port,
+            [this, shard](int fd, std::string ip, std::uint16_t p) {
+              on_accept_(shard, fd, std::move(ip), p);
+            },
+            /*backlog=*/128, /*reuse_port=*/true)) {
+      close();
+      return false;
     }
-    if (ok) {
-      reuse_port_ = true;
-      return true;
-    }
-    listeners_.clear();
-    port_ = 0;
+    port_ = listener->port();
+    listeners_.push_back(std::move(listener));
   }
-
-  // Dispatcher fallback: shard 0 accepts everything and hands each fd to
-  // its round-robin owner BEFORE any epoll registration — the post() is
-  // the ownership transfer.
-  auto listener = std::make_unique<TcpListener>(shards_->loop(0), registry_);
-  const bool ok = listener->listen(
-      host, port, [this](int fd, std::string ip, std::uint16_t p) {
-        const std::size_t shard = next_shard_;
-        next_shard_ = (next_shard_ + 1) % shards_->size();
-        if (shard != 0) handoffs_.inc();
-        shards_->post(shard, [this, shard, fd, ip = std::move(ip), p] {
-          on_accept_(shard, fd, ip, p);
-        });
-      });
-  if (!ok) return false;
-  port_ = listener->port();
-  listeners_.push_back(std::move(listener));
-  reuse_port_ = false;
   return true;
 }
 
@@ -114,15 +75,12 @@ void ShardedListener::close() {
   // Each TcpListener's fd is registered with its shard's loop; closing
   // from another thread while the fleet runs would race the loop's fd
   // table, so closes are posted (call(): post + wait) shard by shard.
-  for (std::size_t i = 0; i < listeners_.size(); ++i) {
-    TcpListener* raw = listeners_[i].get();
-    const std::size_t shard = reuse_port_ ? i : 0;
+  for (std::size_t shard = 0; shard < listeners_.size(); ++shard) {
+    TcpListener* raw = listeners_[shard].get();
     shards_->call(shard, [raw] { raw->close(); });
   }
   listeners_.clear();
   port_ = 0;
-  reuse_port_ = false;
-  next_shard_ = 0;
 }
 
 }  // namespace gill::net

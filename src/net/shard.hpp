@@ -8,11 +8,8 @@
 //     spelling (post + wait) the control plane uses for harvests.
 //   * ShardedListener puts one SO_REUSEPORT listener on every shard, so
 //     the kernel spreads inbound connections across the loops with zero
-//     hand-off cost. When the port cannot be shared (no SO_REUSEPORT, or a
-//     deterministic spread is wanted: dispatcher mode), a single acceptor
-//     on shard 0 adopts the fd and round-robins it to the owning shard via
-//     post() — the fd crosses threads BEFORE it is registered with any
-//     epoll, so ownership is unambiguous either way.
+//     hand-off cost: an accepted fd is registered with the epoll of the
+//     shard that accepted it and never crosses threads.
 //
 // The accept callback always runs on the owning shard's loop thread; the
 // session it builds (transport, daemon FSM, token buckets) lives and dies
@@ -78,12 +75,6 @@ class ShardSet {
 
 class ShardedListener {
  public:
-  /// How connections are spread across shards.
-  enum class Mode : std::uint8_t {
-    kAuto,        // SO_REUSEPORT listeners; dispatcher when that fails
-    kDispatcher,  // single acceptor on shard 0, round-robin hand-off
-  };
-
   /// Runs on the OWNING shard's loop thread; the callback owns the fd.
   using AcceptCallback = std::function<void(
       std::size_t shard, int fd, std::string peer_ip, std::uint16_t port)>;
@@ -93,30 +84,23 @@ class ShardedListener {
   ShardedListener(const ShardedListener&) = delete;
   ShardedListener& operator=(const ShardedListener&) = delete;
 
-  /// Binds `host:port` across the fleet. Call BEFORE ShardSet::start():
-  /// listener registration touches each loop's fd table from this thread.
+  /// Binds `host:port` on every shard with SO_REUSEPORT. Fails (and binds
+  /// nothing) when any shard's listener cannot join the group. Call BEFORE
+  /// ShardSet::start(): listener registration touches each loop's fd table
+  /// from this thread.
   bool listen(const std::string& host, std::uint16_t port,
-              AcceptCallback on_accept, Mode mode = Mode::kAuto);
+              AcceptCallback on_accept);
   void close();
 
   /// The bound port (resolves ephemeral binds).
   std::uint16_t port() const noexcept { return port_; }
-  /// True when every shard got its own SO_REUSEPORT listener; false in
-  /// dispatcher (hand-off) mode.
-  bool reuse_port_active() const noexcept { return reuse_port_; }
-  std::size_t handoffs() const noexcept {
-    return static_cast<std::size_t>(handoffs_.value());
-  }
 
  private:
   ShardSet* shards_;
   metrics::Registry* registry_;
-  std::vector<std::unique_ptr<TcpListener>> listeners_;
+  std::vector<std::unique_ptr<TcpListener>> listeners_;  // one per shard
   AcceptCallback on_accept_;
   std::uint16_t port_ = 0;
-  bool reuse_port_ = false;
-  std::size_t next_shard_ = 0;  // dispatcher round-robin cursor (shard 0 only)
-  metrics::Counter& handoffs_;
 };
 
 }  // namespace gill::net

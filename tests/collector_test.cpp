@@ -109,7 +109,7 @@ TEST(Platform, RefreshInstallsFiltersAndDropsMirror) {
     }
   }
   EXPECT_GT(platform.mirror().size(), 0u);
-  platform.refresh_filters(10000);
+  platform.refresh_filters();
   EXPECT_TRUE(platform.mirror().empty());  // Fig. 9: mirror dropped
   EXPECT_GT(platform.filters().drop_rule_count(), 0u);
 
@@ -139,7 +139,7 @@ TEST(Platform, FiltersApplyToSubsequentTraffic) {
                                      : bgp::AsPath{65010, 65021, 65020});
   }
   const std::size_t stored_before = platform.store().stored();
-  platform.refresh_filters(10000);
+  platform.refresh_filters();
 
   // After the refresh, redundant (vp, prefix) traffic is filtered out for
   // the non-anchor VP.
@@ -147,37 +147,6 @@ TEST(Platform, FiltersApplyToSubsequentTraffic) {
   const std::size_t stored_after = platform.store().stored();
   const std::size_t newly_stored = stored_after - stored_before;
   EXPECT_LT(newly_stored, 2u);  // at most the anchor's copy got stored
-}
-
-TEST(Platform, ScheduledRefreshFiresAfterInterval) {
-  PlatformConfig config;
-  config.component1_refresh = 1000;  // speed the §7 16-day cycle up
-  Platform platform(config);
-  const auto vp0 = platform.add_peer(65010, 0);
-  const auto vp1 = platform.add_peer(65011, 0);
-  platform.step(1);
-
-  auto send_round = [&](bgp::Timestamp t) {
-    for (const bgp::VpId vp : {vp0, vp1}) {
-      bgp::Update update;
-      update.prefix = pfx("10.0.0.0/24");
-      update.path = bgp::AsPath{65010, 64500};
-      platform.remote(vp).send_update(update);
-    }
-    platform.step(t);
-  };
-  send_round(10);
-  send_round(200);
-  EXPECT_GT(platform.mirror().size(), 0u);
-  EXPECT_EQ(platform.filters().drop_rule_count(), 0u);  // not yet refreshed
-
-  // Crossing the refresh interval triggers the §7 cycle automatically and
-  // drops the mirror.
-  send_round(1500);
-  EXPECT_TRUE(platform.mirror().empty());
-  EXPECT_GE(platform.filters().drop_rule_count() +
-                platform.filters().anchors().size(),
-            1u);
 }
 
 // ---------------------------------------------------------------------------

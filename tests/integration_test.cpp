@@ -161,7 +161,7 @@ TEST(Integration, VettingToPlatformToArchive) {
     platform.step(10 + round * 500);
   }
   EXPECT_EQ(platform.store().stored(), 8u);
-  platform.refresh_filters(5000);
+  platform.refresh_filters();
   EXPECT_GE(platform.filters().drop_rule_count() +
                 platform.filters().anchors().size(),
             1u);

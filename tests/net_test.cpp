@@ -15,12 +15,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -197,10 +194,8 @@ struct ServerHarness {
   std::map<bgp::VpId, TcpTransport*> transports;
   std::vector<bgp::VpId> accepted;
 
-  explicit ServerHarness(
-      std::function<void(collect::PlatformConfig&)> tweak = {},
-      const std::string& host = "127.0.0.1")
-      : platform(make_config(std::move(tweak))) {
+  explicit ServerHarness(const std::string& host = "127.0.0.1")
+      : platform(make_config()) {
     EXPECT_TRUE(listener.listen(
         host, 0, [this](int fd, std::string, std::uint16_t) {
           auto transport =
@@ -217,11 +212,9 @@ struct ServerHarness {
         }));
   }
 
-  collect::PlatformConfig make_config(
-      std::function<void(collect::PlatformConfig&)> tweak) {
+  collect::PlatformConfig make_config() {
     collect::PlatformConfig config;
     config.registry = &registry;
-    if (tweak) tweak(config);
     return config;
   }
 
@@ -386,7 +379,7 @@ TEST(TcpSession, EightConcurrentPeersAllEstablishAndFeed) {
 TEST(TcpSession, Ipv6LoopbackHandshakeReachesEstablished) {
   // The same collector accept path over AF_INET6: a bracketed bind
   // ("[::1]") and a bare-literal dial ("::1") both parse.
-  ServerHarness server({}, "[::1]");
+  ServerHarness server("[::1]");
   TcpFakePeer client(server, 65010, "::1");
   const bool established = drive(
       server.loop, 400,
@@ -769,18 +762,15 @@ TEST(Http, RetiredLegacyPathAnswers404WithTheErrorEnvelope) {
   EXPECT_NE(legacy.find("\"code\":\"not_found\""), std::string::npos);
 }
 
-// A duplicate registration is a wiring bug, never a silent overwrite; an
-// alias must point at something real.
-TEST(Http, DuplicateRoutesAndDanglingAliasesAreRejected) {
+// A duplicate registration is a wiring bug, never a silent overwrite.
+TEST(Http, DuplicateRoutesAreRejected) {
   EventLoop loop;
   metrics::Registry registry;
   HttpEndpoint http(loop, &registry);
   EXPECT_TRUE(http.route("/v1/thing", [] { return HttpResponse{}; }));
   EXPECT_FALSE(http.route("/v1/thing", [] { return HttpResponse{}; }));
-  EXPECT_TRUE(http.alias("/thing", "/v1/thing"));
-  EXPECT_FALSE(http.alias("/thing", "/v1/thing"));   // alias already taken
-  EXPECT_FALSE(http.route("/thing", [] { return HttpResponse{}; }));
-  EXPECT_FALSE(http.alias("/other", "/v1/missing"));  // alias to nothing
+  EXPECT_FALSE(http.route("/v1/thing",
+                          [](const HttpRequest&) { return HttpResponse{}; }));
 }
 
 // The uniform JSON error envelope, byte for byte, on every built-in error.
@@ -1005,78 +995,6 @@ TEST(LiveCollector, SessionCountersAppearOnTheMetricsEndpoint) {
   EXPECT_NE(healthz.find("\"peers\":1"), std::string::npos) << healthz;
   EXPECT_NE(healthz.find("\"status\":\"healthy\""), std::string::npos);
   EXPECT_NE(healthz.find("\"session\":\"Established\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Asynchronous analysis off the loop: a refresh job held in flight must not
-// stall the TCP sessions — updates keep flowing and the RIB keeps advancing
-// until the job completes and the new filter generation is installed.
-// ---------------------------------------------------------------------------
-
-TEST(LiveCollector, RibAdvancesWhileARefreshJobIsInFlight) {
-  std::promise<void> job_started;
-  auto started = job_started.get_future();
-  std::promise<void> release_promise;
-  std::shared_future<void> release(release_promise.get_future());
-  std::atomic<bool> armed{true};
-  ServerHarness server([&](collect::PlatformConfig& config) {
-    config.analysis_threads = 1;
-    config.refresh_job_hook = [&, release] {
-      if (armed.exchange(false)) {
-        job_started.set_value();
-        release.wait();
-      }
-    };
-  });
-  TcpFakePeer client(server, 65010);
-  ASSERT_TRUE(drive(
-      server.loop, 400,
-      [&] {
-        return !server.accepted.empty() &&
-               server.platform.daemon_of(server.accepted[0]).state() ==
-                   SessionState::kEstablished &&
-               client.peer.established();
-      },
-      [&] {
-        server.pump();
-        client.pump();
-      }));
-  const bgp::VpId vp = server.accepted[0];
-
-  // Seed a first window so the pipeline has data, then pin its job.
-  client.peer.send_synthetic_burst(10, 10u << 24);
-  ASSERT_TRUE(drive(
-      server.loop, 400,
-      [&] { return server.platform.daemon_of(vp).rib().size() == 10; },
-      [&] {
-        server.pump();
-        client.pump();
-      }));
-  server.platform.refresh_filters(kNow);
-  started.wait();  // the worker is inside the pipeline now
-  ASSERT_TRUE(server.platform.refresh_in_flight());
-
-  // The loop keeps serving the live session while the job computes: a
-  // second burst arrives over TCP and lands in the RIB.
-  client.peer.send_synthetic_burst(15, 11u << 24);
-  ASSERT_TRUE(drive(
-      server.loop, 400,
-      [&] { return server.platform.daemon_of(vp).rib().size() == 25; },
-      [&] {
-        server.pump();
-        client.pump();
-      }));
-  EXPECT_TRUE(server.platform.refresh_in_flight())
-      << "the RIB advanced with the job still pinned";
-  EXPECT_EQ(server.platform.filter_generation(), 0u);
-
-  release_promise.set_value();
-  server.platform.wait_for_refresh();
-  EXPECT_FALSE(server.platform.refresh_in_flight());
-  EXPECT_EQ(server.platform.filter_generation(), 1u);
-  server.pump();  // the session survives the install
-  EXPECT_EQ(server.platform.daemon_of(vp).state(),
-            SessionState::kEstablished);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Overload control (DESIGN.md §11): the token bucket and accept governor
 // in isolation, TcpTransport's watermark backpressure over a real loopback
 // socket (EPOLLIN disarmed -> kernel window closes -> bounded queue), and
-// the Platform's memory-watermark degraded mode (defer refreshes, shed the
-// lowest-volume VPs, re-admit on recovery).
+// the Platform's memory-watermark degraded mode (shed the lowest-volume
+// VPs, re-admit on recovery). The merge plane's refresh deferral is tested
+// in sharded_test.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -221,7 +222,7 @@ TEST(Backpressure, RateLimitPausesUntilTheBucketRefills) {
 }
 
 // ---------------------------------------------------------------------------
-// Platform degraded mode: memory watermark -> defer refresh, shed, recover.
+// Platform degraded mode: memory watermark -> shed, recover.
 // ---------------------------------------------------------------------------
 
 TEST(Degraded, MemoryWatermarkShedsLowestVolumeAndRecovers) {
@@ -247,8 +248,7 @@ TEST(Degraded, MemoryWatermarkShedsLowestVolumeAndRecovers) {
   platform.step(2);
   ASSERT_FALSE(platform.degraded());
 
-  // Memory crosses the watermark: degraded mode, one peer shed per step,
-  // pipeline refreshes deferred.
+  // Memory crosses the watermark: degraded mode, one peer shed per step.
   memory = 2000;
   platform.step(3);
   EXPECT_TRUE(platform.degraded());
@@ -287,47 +287,6 @@ TEST(Degraded, MemoryWatermarkShedsLowestVolumeAndRecovers) {
   EXPECT_EQ(platform.health(vp2).status, collect::PeerStatus::kHealthy);
   // The frozen burst is delivered once polling resumes.
   EXPECT_EQ(platform.daemon_of(vp2).stats().updates_received, frozen + 5);
-}
-
-TEST(Degraded, PipelineRefreshIsDeferredUntilRecovery) {
-  std::size_t memory = 100;
-  metrics::Registry registry;
-  collect::PlatformConfig config;
-  config.registry = &registry;
-  config.component1_refresh = 1;  // a refresh is due on every step
-  config.overload.mem_high_watermark = 1000;
-  config.overload.mem_low_watermark = 500;
-  config.overload.memory_probe = [&memory] { return memory; };
-  collect::Platform platform(config);
-
-  const auto vp0 = platform.add_peer(65001, 1);
-  const auto vp1 = platform.add_peer(65002, 1);
-  (void)vp1;
-  platform.step(1);
-  platform.remote(vp0).send_synthetic_burst(30, 10u << 24);
-  platform.step(2);  // healthy: the due refresh runs
-  platform.wait_for_refresh();
-  const auto healthy_generation = platform.filter_generation();
-
-  // Degraded: a due refresh with a non-empty mirror is deferred, not run —
-  // the pipeline is the most expensive thing to be doing out of memory.
-  memory = 2000;
-  platform.remote(vp0).send_synthetic_burst(30, 11u << 24);
-  platform.step(3);
-  ASSERT_TRUE(platform.degraded());
-  EXPECT_GE(registry.counter_total("gill_overload_refreshes_deferred_total"),
-            1u);
-  platform.wait_for_refresh();
-  EXPECT_EQ(platform.filter_generation(), healthy_generation);
-
-  // Recovery re-enables the pipeline; the deferred refresh runs on the
-  // retained mirror.
-  memory = 100;
-  platform.step(4);
-  ASSERT_FALSE(platform.degraded());
-  platform.step(5);
-  platform.wait_for_refresh();
-  EXPECT_GT(platform.filter_generation(), healthy_generation);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The parallel analysis engine (DESIGN.md §9): ThreadPool semantics, the
 // byte-determinism guarantee of the parallel pipeline stages at 1/2/8
-// threads, the GILL_ANALYSIS_SERIAL escape hatch, the cross-refresh score
-// cache, and the Platform's asynchronous filter refresh (generation
-// counter, stale-result discard, sessions served while a job is in flight).
+// threads, the GILL_ANALYSIS_SERIAL escape hatch and the cross-refresh score
+// cache. The asynchronous filter refresh itself is the merge plane's and is
+// tested in sharded_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "anchor/scoring.hpp"
-#include "collector/platform.hpp"
 #include "parallel/thread_pool.hpp"
 #include "redundancy/component1.hpp"
 #include "sampling/gill_pipeline.hpp"
@@ -267,199 +266,6 @@ TEST(ScoreCache, PoolAndSerialAgreeWithCaching) {
     EXPECT_EQ(serial[n], parallel[n]);
   }
   EXPECT_EQ(serial_cache.misses, pool_cache.misses);
-}
-
-// ---------------------------------------------------------------------------
-// Platform: asynchronous refresh off the event loop.
-// ---------------------------------------------------------------------------
-
-net::Prefix pfx(const char* text) { return net::Prefix::parse(text).value(); }
-
-/// Feeds both platforms the same redundant two-VP workload.
-void feed_redundant_updates(collect::Platform& platform, bgp::VpId vp0,
-                            bgp::VpId vp1, bgp::Timestamp base) {
-  for (int round = 0; round < 6; ++round) {
-    const auto t = static_cast<bgp::Timestamp>(base + round * 1000);
-    for (const char* prefix : {"10.0.0.0/24", "10.0.1.0/24"}) {
-      bgp::Update update;
-      update.prefix = pfx(prefix);
-      update.path = round % 2 == 0 ? bgp::AsPath{65010, 65020}
-                                   : bgp::AsPath{65010, 65021, 65020};
-      platform.remote(vp0).send_update(update);
-      platform.remote(vp1).send_update(update);
-      platform.step(t);
-    }
-  }
-}
-
-TEST(AsyncRefresh, ProducesTheSameFiltersAsTheSynchronousPath) {
-  collect::PlatformConfig sync_config;  // analysis_threads = 0
-  collect::Platform sync(sync_config);
-  collect::PlatformConfig async_config;
-  async_config.analysis_threads = 2;
-  collect::Platform async(async_config);
-  ASSERT_EQ(async.analysis_thread_count(), 2u);
-
-  for (collect::Platform* platform : {&sync, &async}) {
-    const auto vp0 = platform->add_peer(65010, 0);
-    const auto vp1 = platform->add_peer(65011, 0);
-    platform->step(1);
-    feed_redundant_updates(*platform, vp0, vp1, 2);
-  }
-
-  sync.refresh_filters(10'000);
-  EXPECT_EQ(sync.filter_generation(), 1u);
-
-  async.refresh_filters(10'000);
-  EXPECT_TRUE(async.mirror().empty()) << "mirror snapshot moved into the job";
-  async.wait_for_refresh();
-  EXPECT_FALSE(async.refresh_in_flight());
-  EXPECT_EQ(async.filter_generation(), 1u);
-
-  EXPECT_GT(async.filters().drop_rule_count(), 0u);
-  EXPECT_EQ(sync.published_filter_document(),
-            async.published_filter_document());
-  EXPECT_EQ(sync.published_anchor_document(),
-            async.published_anchor_document());
-}
-
-TEST(AsyncRefresh, SessionsKeepFlowingWhileAJobIsInFlight) {
-  std::promise<void> job_started;
-  auto started = job_started.get_future();
-  std::promise<void> release_promise;
-  std::shared_future<void> release(release_promise.get_future());
-  std::atomic<bool> armed{true};
-
-  collect::PlatformConfig config;
-  config.analysis_threads = 1;
-  config.refresh_job_hook = [&, release] {
-    if (armed.exchange(false)) {
-      job_started.set_value();
-      release.wait();
-    }
-  };
-  collect::Platform platform(config);
-  const auto vp0 = platform.add_peer(65010, 0);
-  const auto vp1 = platform.add_peer(65011, 0);
-  platform.step(1);
-  feed_redundant_updates(platform, vp0, vp1, 2);
-  const std::size_t stored_before = platform.store().stored();
-
-  platform.refresh_filters(10'000);
-  started.wait();  // the worker is now inside the pipeline job
-  ASSERT_TRUE(platform.refresh_in_flight());
-  EXPECT_EQ(platform.filter_generation(), 0u) << "nothing installed yet";
-
-  // The event loop keeps serving sessions: new updates land in the store
-  // and in the next window's mirror while the job computes.
-  for (int i = 0; i < 4; ++i) {
-    bgp::Update update;
-    update.prefix = pfx("10.9.0.0/24");
-    update.path = bgp::AsPath{65010, 65030};
-    platform.remote(vp0).send_update(update);
-    platform.step(static_cast<bgp::Timestamp>(10'001 + i));
-  }
-  EXPECT_GT(platform.store().stored(), stored_before);
-  EXPECT_EQ(platform.mirror().size(), 4u) << "next window accumulates";
-  EXPECT_TRUE(platform.refresh_in_flight());
-
-  release_promise.set_value();
-  platform.wait_for_refresh();
-  EXPECT_FALSE(platform.refresh_in_flight());
-  EXPECT_EQ(platform.filter_generation(), 1u);
-  EXPECT_GT(platform.filters().drop_rule_count(), 0u);
-  EXPECT_EQ(platform.mirror().size(), 4u)
-      << "the in-flight window's mirror survives the install";
-}
-
-TEST(AsyncRefresh, StaleResultIsDiscardedWhenANewerGenerationLands) {
-  std::promise<void> release_promise;
-  std::shared_future<void> release(release_promise.get_future());
-  collect::PlatformConfig config;
-  config.analysis_threads = 1;
-  config.refresh_job_hook = [release] { release.wait(); };
-  collect::Platform platform(config);
-  const auto vp0 = platform.add_peer(65010, 0);
-  const auto vp1 = platform.add_peer(65011, 0);
-  platform.step(1);
-
-  feed_redundant_updates(platform, vp0, vp1, 2);
-  platform.refresh_filters(10'000);  // generation 1, blocked in the hook
-  feed_redundant_updates(platform, vp0, vp1, 20'000);
-  platform.refresh_filters(30'000);  // generation 2, queued behind it
-  ASSERT_TRUE(platform.refresh_in_flight());
-
-  release_promise.set_value();
-  platform.wait_for_refresh();
-  // Both jobs completed by harvest time: only the newest generation
-  // installs; the older result is discarded, not rolled back to.
-  EXPECT_EQ(platform.filter_generation(), 2u);
-  EXPECT_EQ(platform.metrics().counter_total(
-                "gill_collector_filter_refresh_stale_total"),
-            1u);
-  EXPECT_EQ(platform.metrics().counter_total(
-                "gill_collector_filter_refreshes_total"),
-            1u)
-      << "the stale job never counts as an installed refresh";
-}
-
-TEST(AsyncRefresh, StepInstallsACompletedJobAndRearmsTheTrigger) {
-  collect::PlatformConfig config;
-  config.analysis_threads = 1;
-  // Seconds-scale period: every step below stays inside the 90 s hold
-  // timer, so the sessions survive and keep mirroring between windows.
-  config.component1_refresh = 100;
-  collect::Platform platform(config);
-  const auto vp0 = platform.add_peer(65010, 0);
-  const auto vp1 = platform.add_peer(65011, 0);
-  platform.step(1);
-  const auto feed_window = [&](bgp::Timestamp base) {
-    for (int round = 0; round < 6; ++round) {
-      const auto t = static_cast<bgp::Timestamp>(base + round * 10);
-      for (const char* prefix : {"10.0.0.0/24", "10.0.1.0/24"}) {
-        bgp::Update update;
-        update.prefix = pfx(prefix);
-        update.path = round % 2 == 0 ? bgp::AsPath{65010, 65020}
-                                     : bgp::AsPath{65010, 65021, 65020};
-        platform.remote(vp0).send_update(update);
-        platform.remote(vp1).send_update(update);
-        platform.step(t);
-      }
-    }
-  };
-  feed_window(2);  // ends at t=52, inside the first refresh period
-  ASSERT_GT(platform.mirror().size(), 0u);
-  platform.step(140);  // the periodic trigger submits the job
-  ASSERT_TRUE(platform.refresh_in_flight());
-  platform.wait_for_refresh();
-  EXPECT_EQ(platform.filter_generation(), 1u);
-
-  // A second window triggers a second generation through step() alone.
-  feed_window(150);
-  ASSERT_GT(platform.mirror().size(), 0u);
-  platform.step(245);
-  platform.wait_for_refresh();
-  EXPECT_EQ(platform.filter_generation(), 2u);
-  EXPECT_EQ(platform.metrics().counter_total(
-                "gill_collector_filter_refreshes_total"),
-            2u);
-}
-
-TEST(AsyncRefresh, SerialEnvFallsBackToTheSynchronousPath) {
-  ::setenv("GILL_ANALYSIS_SERIAL", "1", 1);
-  collect::PlatformConfig config;
-  config.analysis_threads = 4;
-  collect::Platform platform(config);
-  EXPECT_EQ(platform.analysis_thread_count(), 0u) << "no pool spawned";
-  const auto vp0 = platform.add_peer(65010, 0);
-  const auto vp1 = platform.add_peer(65011, 0);
-  platform.step(1);
-  feed_redundant_updates(platform, vp0, vp1, 2);
-  platform.refresh_filters(10'000);  // runs inline
-  EXPECT_FALSE(platform.refresh_in_flight());
-  EXPECT_EQ(platform.filter_generation(), 1u);
-  EXPECT_GT(platform.filters().drop_rule_count(), 0u);
-  ::unsetenv("GILL_ANALYSIS_SERIAL");
 }
 
 }  // namespace

@@ -234,9 +234,7 @@ TEST(Health, TimedQuarantineReleasesThePeer) {
 }
 
 TEST(Health, QuarantinedPeerDataIsPurgedFromTheMirror) {
-  auto config = resilient_config();
-  config.component1_refresh = 1 << 30;  // no automatic refresh mid-test
-  Platform platform(config);
+  Platform platform(resilient_config());
   const VpId flappy = platform.add_peer(65010, 0);
   const VpId steady = platform.add_peer(65020, 0);
   Timestamp now = 1;
@@ -258,7 +256,7 @@ TEST(Health, QuarantinedPeerDataIsPurgedFromTheMirror) {
   ASSERT_EQ(platform.health(flappy).status, PeerStatus::kQuarantined);
 
   // The refresh drops the quarantined VP's mirrored updates pre-sampling.
-  platform.refresh_filters(now);
+  platform.refresh_filters();
   for (const auto& update : platform.mirror()) {
     EXPECT_NE(update.vp, flappy);
   }
@@ -270,7 +268,6 @@ TEST(Health, QuarantinedPeerDataIsPurgedFromTheMirror) {
 
 TEST(Chaos, PlatformSurvivesFaultyPeersFor10kSeconds) {
   auto config = resilient_config();
-  config.component1_refresh = 1 << 30;
   // Flaps are expected under a 1% reset rate; quarantines must heal so the
   // platform keeps its feeds (and the release path gets exercised).
   config.health.flap_threshold = 6;

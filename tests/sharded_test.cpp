@@ -1,5 +1,7 @@
-// Sharded ingest plane (DESIGN.md §14): the determinism contract and the
-// teardown races.
+// Sharded ingest plane (DESIGN.md §14): the determinism contract, the
+// teardown races, and the merge plane as the collector's only
+// filter-refresh schedule (trigger, deferral, the job in flight, metrics,
+// and one oracle shared with Platform::refresh_filters).
 //
 // The contract under test: the merged mirror and the merged RIB snapshot
 // handed to the analysis pipeline are byte-identical regardless of how
@@ -16,10 +18,14 @@
 // GILL_SOAK_PEERS / GILL_SOAK_ROUNDS and joins tools/soak.sh.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "collector/sharded.hpp"
@@ -27,6 +33,7 @@
 #include "mrt/mrt.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace gill::collect {
 namespace {
@@ -112,7 +119,7 @@ MergedBytes run_canonical_traffic(std::size_t shard_count,
   config.shards = shard_count;
   config.platform.local_as = 65000;
   config.platform.registry = &registry;
-  config.platform.component1_refresh = 0;
+  config.component1_refresh = 0;
   config.rib_dump_interval = 8 * 3600;  // enables RIB tracking; > kNow, so
                                         // no periodic snapshot ever fires
   config.clock = [] { return kNow; };
@@ -175,12 +182,13 @@ TEST(Sharded, DisconnectDuringMergeIsSafe) {
   const std::size_t peer_count = 8;
 
   metrics::Registry registry;
+  par::ThreadPool pool(2);  // merge jobs race the ingest threads
   ShardedPlatformConfig config;
   config.shards = 4;
   config.platform.local_as = 65000;
   config.platform.registry = &registry;
-  config.platform.component1_refresh = 0;
-  config.analysis_threads = 2;  // merge jobs race the ingest threads
+  config.component1_refresh = 0;
+  config.analysis_pool = &pool;
   config.clock = [] { return kNow; };
   ShardedPlatform platform(config);
   ASSERT_TRUE(platform.listen("127.0.0.1", 0));
@@ -234,12 +242,13 @@ TEST(Sharded, FlapStormAcrossShardsSoak) {
   const std::size_t rounds = env_size("GILL_SOAK_ROUNDS", 2);
 
   metrics::Registry registry;
+  par::ThreadPool pool(2);
   ShardedPlatformConfig config;
   config.shards = 4;
   config.platform.local_as = 65000;
   config.platform.registry = &registry;
-  config.platform.component1_refresh = 0;
-  config.analysis_threads = 2;
+  config.component1_refresh = 0;
+  config.analysis_pool = &pool;
   config.clock = [] { return kNow; };
   ShardedPlatform platform(config);
   ASSERT_TRUE(platform.listen("127.0.0.1", 0));
@@ -290,6 +299,333 @@ TEST(Sharded, FlapStormAcrossShardsSoak) {
   }
   EXPECT_GE(platform.filter_generation(), 1u);
   platform.stop();
+}
+
+// ---------------------------------------------------------------------------
+// The merge plane: the collector's only filter-refresh schedule.
+// ---------------------------------------------------------------------------
+
+constexpr bgp::Timestamp kRefreshAt = 10'000;
+
+/// In-process sessions (FakePeer remotes over the in-memory transport)
+/// spread round-robin over a fleet's shards. `on_shard(s, fn)` runs `fn`
+/// on shard s's Platform: a lone Platform is the one-shard case, and a
+/// ShardedPlatform that is never start()ed runs every with_shard() call
+/// inline, so the traffic and its timestamps are deterministic in both.
+class InMemorySessions {
+ public:
+  using OnShard = std::function<void(std::size_t,
+                                     const std::function<void(Platform&)>&)>;
+
+  explicit InMemorySessions(Platform& platform)
+      : shards_(1), on_shard_([&platform](std::size_t, const auto& fn) {
+          fn(platform);
+        }) {}
+  explicit InMemorySessions(ShardedPlatform& platform)
+      : shards_(platform.shard_count()),
+        on_shard_([&platform](std::size_t shard, const auto& fn) {
+          platform.with_shard(shard, fn);
+        }) {}
+
+  /// Adds `count` peers (VP ids 0..count-1 in order) and establishes them.
+  void add_peers(std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t shard = i % shards_;
+      on_shard_(shard, [&](Platform& platform) {
+        sessions_.emplace_back(
+            shard,
+            platform.add_peer(static_cast<bgp::AsNumber>(65010 + i), 0));
+      });
+    }
+    step(1);
+  }
+
+  void step(bgp::Timestamp now) {
+    for (std::size_t shard = 0; shard < shards_; ++shard) {
+      on_shard_(shard, [now](Platform& platform) { platform.step(now); });
+    }
+  }
+
+  /// Redundant traffic: every VP announces the same correlated churn on
+  /// two prefixes, six rounds `spacing` seconds apart from `base`.
+  void feed_window(bgp::Timestamp base, bgp::Timestamp spacing) {
+    for (int round = 0; round < 6; ++round) {
+      for (const char* prefix : {"10.0.0.0/24", "10.0.1.0/24"}) {
+        bgp::Update update;
+        update.prefix = net::Prefix::parse(prefix).value();
+        update.path = round % 2 == 0 ? bgp::AsPath{65010, 65020}
+                                     : bgp::AsPath{65010, 65021, 65020};
+        for (const auto& [shard, vp] : sessions_) {
+          on_shard_(shard, [&, vp = vp](Platform& platform) {
+            platform.remote(vp).send_update(update);
+          });
+        }
+        step(static_cast<bgp::Timestamp>(base + round * spacing));
+      }
+    }
+  }
+
+ private:
+  std::size_t shards_;
+  OnShard on_shard_;
+  std::vector<std::pair<std::size_t, VpId>> sessions_;  // (shard, vp)
+};
+
+/// Sum of every shard's mirror (the next window).
+std::size_t mirrored_across_shards(ShardedPlatform& platform) {
+  std::size_t total = 0;
+  for (std::size_t shard = 0; shard < platform.shard_count(); ++shard) {
+    total += platform.with_shard(
+        shard, [](Platform& p) { return p.mirror().size(); });
+  }
+  return total;
+}
+
+// The identity spec for every refresh path: one in-memory Platform refreshed
+// synchronously, and 1-, 2- and 4-shard merge planes refreshing inline and
+// on a 2-worker pool, all install byte-identical published documents.
+TEST(MergePlane, EveryRefreshPathInstallsTheSameFilters) {
+  constexpr std::size_t kPeers = 4;
+  Platform reference;
+  InMemorySessions reference_sessions(reference);
+  reference_sessions.add_peers(kPeers);
+  reference_sessions.feed_window(2, 1000);
+  reference.refresh_filters();
+  ASSERT_GT(reference.filters().drop_rule_count(), 0u);
+  const std::string filter_doc = reference.published_filter_document();
+  const std::string anchor_doc = reference.published_anchor_document();
+
+  par::ThreadPool pool(2);
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (par::ThreadPool* executor : {static_cast<par::ThreadPool*>(nullptr),
+                                      &pool}) {
+      const std::string run = std::to_string(shards) + " shards, " +
+                              (executor != nullptr ? "pool" : "inline");
+      metrics::Registry registry;
+      ShardedPlatformConfig config;
+      config.shards = shards;
+      config.platform.registry = &registry;
+      config.component1_refresh = 0;
+      config.analysis_pool = executor;
+      ShardedPlatform platform(config);
+      InMemorySessions sessions(platform);
+      sessions.add_peers(kPeers);
+      sessions.feed_window(2, 1000);
+
+      platform.refresh_filters(kRefreshAt);
+      platform.wait_for_refresh();
+      ASSERT_EQ(platform.filter_generation(), 1u) << run;
+      EXPECT_EQ(platform.published_filter_document(), filter_doc) << run;
+      EXPECT_EQ(platform.published_anchor_document(), anchor_doc) << run;
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        platform.with_shard(shard, [&](Platform& installed) {
+          EXPECT_EQ(installed.filter_generation(), 1u) << run;
+          EXPECT_EQ(installed.published_filter_document(), filter_doc) << run;
+          EXPECT_EQ(installed.published_anchor_document(), anchor_doc) << run;
+        });
+      }
+    }
+  }
+}
+
+TEST(MergePlane, SessionsKeepFlowingWhileARefreshIsInFlight) {
+  metrics::Registry registry;
+  par::ThreadPool pool(1);
+  ShardedPlatformConfig config;
+  config.shards = 2;
+  config.platform.registry = &registry;
+  config.component1_refresh = 0;
+  config.analysis_pool = &pool;
+  config.rib_dump_interval = 8 * 3600;  // tracks RIBs; never fires at kNow
+  config.clock = [] { return kNow; };
+  ShardedPlatform platform(config);
+  ASSERT_TRUE(platform.listen("127.0.0.1", 0));
+  platform.start(/*tick_ms=*/1);
+  ClientFleet fleet;
+  ASSERT_TRUE(fleet.connect(platform, 65001));
+  ASSERT_TRUE(fleet.connect(platform, 65002));
+  const auto send_window = [&](std::size_t per_peer, std::uint32_t base) {
+    for (std::size_t i = 0; i < fleet.peers.size(); ++i) {
+      fleet.peers[i]->send_synthetic_burst(
+          per_peer, base | (static_cast<std::uint32_t>(i) << 16));
+    }
+    const std::size_t want = platform.stored_updates() + 2 * per_peer;
+    for (int i = 0; i < 100000 && platform.stored_updates() < want; ++i) {
+      fleet.pump();
+    }
+    ASSERT_EQ(platform.stored_updates(), want);
+  };
+  send_window(10, 10u << 24);
+
+  // Block the pool's only worker: the refresh job stays queued behind it.
+  std::promise<void> release;
+  pool.post([gate = release.get_future().share()] { gate.wait(); });
+  platform.refresh_filters(kNow);
+  ASSERT_TRUE(platform.refresh_in_flight());
+  EXPECT_EQ(platform.filter_generation(), 0u) << "nothing installed yet";
+
+  // The shards keep serving sessions: a second window reaches the RIBs,
+  // the store and the mirror while the job waits.
+  send_window(15, 11u << 24);
+  EXPECT_EQ(platform.merged_rib_dump(kNow).size(), 50u);
+  EXPECT_EQ(mirrored_across_shards(platform), 30u)
+      << "the next window accumulates";
+  // A second refresh while one is in flight is a no-op: it neither
+  // harvests the next window nor replaces the running job.
+  platform.refresh_filters(kNow);
+  platform.control_tick(kNow);
+  EXPECT_TRUE(platform.refresh_in_flight());
+  EXPECT_EQ(mirrored_across_shards(platform), 30u);
+
+  release.set_value();
+  platform.wait_for_refresh();
+  EXPECT_FALSE(platform.refresh_in_flight());
+  EXPECT_EQ(platform.filter_generation(), 1u);
+  EXPECT_EQ(registry.counter_total("gill_collector_filter_refreshes_total"),
+            1u);
+  EXPECT_EQ(mirrored_across_shards(platform), 30u)
+      << "the in-flight window's mirror survives the install";
+  const HealthSnapshot health = platform.health_snapshot();
+  ASSERT_EQ(health.peers.size(), 2u);
+  for (const auto& peer : health.peers) {
+    EXPECT_EQ(peer.session, daemon::SessionState::kEstablished)
+        << "vp" << peer.vp << " survives the install";
+  }
+  platform.stop();
+}
+
+TEST(MergePlane, TriggerFiresAfterItsPeriodAndRearms) {
+  metrics::Registry registry;
+  par::ThreadPool pool(1);
+  ShardedPlatformConfig config;
+  config.shards = 2;
+  config.platform.registry = &registry;
+  // Seconds-scale period: every step stays inside the 90 s hold timer.
+  config.component1_refresh = 100;
+  config.analysis_pool = &pool;
+  ShardedPlatform platform(config);
+  InMemorySessions sessions(platform);
+  sessions.add_peers(2);
+  // Control ticks at `now` until one of them installs the submitted job.
+  const auto tick_until_installed = [&](bgp::Timestamp now) {
+    const std::uint64_t want = platform.filter_generation() + 1;
+    for (int i = 0; i < 10000 && platform.filter_generation() < want; ++i) {
+      platform.control_tick(now);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  platform.control_tick(1);  // the first period starts here
+
+  sessions.feed_window(2, 10);
+  platform.control_tick(100);
+  EXPECT_FALSE(platform.refresh_in_flight()) << "not due yet";
+  platform.control_tick(101);
+  EXPECT_TRUE(platform.refresh_in_flight());
+  EXPECT_EQ(mirrored_across_shards(platform), 0u)
+      << "the window was harvested";
+  tick_until_installed(101);
+  EXPECT_EQ(platform.filter_generation(), 1u);
+
+  // The trigger re-armed at 101: the next window refreshes at 201.
+  sessions.feed_window(110, 10);
+  platform.control_tick(200);
+  EXPECT_FALSE(platform.refresh_in_flight());
+  platform.control_tick(201);
+  EXPECT_TRUE(platform.refresh_in_flight());
+  tick_until_installed(201);
+  EXPECT_EQ(platform.filter_generation(), 2u);
+  EXPECT_EQ(registry.counter_total("gill_collector_filter_refreshes_total"),
+            2u);
+}
+
+TEST(MergePlane, DeferredRefreshRunsAsSoonAsMemoryRecovers) {
+  std::size_t memory = 100;
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.shards = 2;
+  config.platform.registry = &registry;
+  config.platform.overload.mem_high_watermark = 1000;
+  config.platform.overload.mem_low_watermark = 500;
+  config.platform.overload.memory_probe = [&memory] { return memory; };
+  config.component1_refresh = 100;
+  ShardedPlatform platform(config);
+  InMemorySessions sessions(platform);
+  sessions.add_peers(2);
+  platform.control_tick(1);
+  sessions.feed_window(2, 10);
+
+  // Memory spikes: the control tick samples the probe, and each shard's
+  // watermark check reads that sample on its next step.
+  memory = 2000;
+  platform.control_tick(60);
+  sessions.step(60);
+  ASSERT_TRUE(platform.degraded());
+
+  // Degraded: the due refresh is deferred, not run, and counted once.
+  platform.control_tick(101);
+  sessions.step(120);
+  platform.control_tick(120);
+  EXPECT_EQ(platform.filter_generation(), 0u);
+  EXPECT_EQ(
+      registry.counter_total("gill_overload_refreshes_deferred_total"), 1u);
+
+  // Recovery: the refresh runs at the first tick after memory drops, not a
+  // full period after the deferral.
+  memory = 100;
+  platform.control_tick(130);
+  sessions.step(130);
+  ASSERT_FALSE(platform.degraded());
+  platform.control_tick(131);
+  EXPECT_EQ(platform.filter_generation(), 1u);
+  EXPECT_GT(platform.filters().drop_rule_count(), 0u);
+}
+
+TEST(MergePlane, SerialEnvRunsTheRefreshInline) {
+  ::setenv("GILL_ANALYSIS_SERIAL", "1", 1);
+  metrics::Registry registry;
+  par::ThreadPool pool(2);
+  ShardedPlatformConfig config;
+  config.shards = 2;
+  config.platform.registry = &registry;
+  config.component1_refresh = 0;
+  config.analysis_pool = &pool;
+  ShardedPlatform platform(config);
+  InMemorySessions sessions(platform);
+  sessions.add_peers(2);
+  sessions.feed_window(2, 1000);
+
+  platform.refresh_filters(kRefreshAt);
+  EXPECT_FALSE(platform.refresh_in_flight()) << "ran on the control thread";
+  EXPECT_EQ(platform.filter_generation(), 1u);
+  EXPECT_GT(platform.filters().drop_rule_count(), 0u);
+  EXPECT_EQ(pool.shards_executed(), 0u) << "the pool never ran a stage";
+  ::unsetenv("GILL_ANALYSIS_SERIAL");
+}
+
+// One merge-plane refresh records one refresh fleet-wide, not one per shard.
+TEST(MergePlane, RecordsEachRefreshOnceAcrossShards) {
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.shards = 4;
+  config.platform.registry = &registry;
+  config.component1_refresh = 0;
+  ShardedPlatform platform(config);
+  InMemorySessions sessions(platform);
+  sessions.add_peers(4);
+  sessions.feed_window(2, 1000);
+
+  platform.refresh_filters(kRefreshAt);
+  ASSERT_EQ(platform.filter_generation(), 1u);
+  EXPECT_EQ(registry.counter_total("gill_collector_filter_refreshes_total"),
+            1u);
+  EXPECT_EQ(registry
+                .histogram("gill_collector_filter_refresh_duration_us", "")
+                .count(),
+            1u);
+  EXPECT_GT(registry.counter_total("gill_collector_score_cache_hits_total") +
+                registry.counter_total(
+                    "gill_collector_score_cache_misses_total"),
+            0u);
 }
 
 }  // namespace

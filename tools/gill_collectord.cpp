@@ -38,6 +38,7 @@
 #include "net/overload.hpp"
 #include "net/stream.hpp"
 #include "net/tcp_transport.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -59,7 +60,7 @@ constexpr const char* kUsage =
     "  --tick-ms N            session tick interval (default 200)\n"
     "  --rib-dump-interval N  per-session RIB snapshot period, seconds (default off)\n"
     "  --analysis-threads N   worker pool for filter refreshes: -1 auto,\n"
-    "                         0 synchronous on the loop thread (default -1)\n"
+    "                         0 synchronous on the control loop (default -1)\n"
     "  --archive PATH         save the in-memory MRT archive to PATH on shutdown\n"
     "  --archive-dir DIR      rotated on-disk segment store; serves GET /v1/data\n"
     "                         and GET /v1/segments on the HTTP port\n"
@@ -157,6 +158,16 @@ int main(int argc, char** argv) {
   // and the merge cadence. BGP sessions live on the ingest shards.
   // Destruction order matters: the loop must outlive every fd owner below.
   net::EventLoop loop;
+  // The merged filter refresh runs on this pool so the control loop never
+  // stalls mid-pipeline (DESIGN.md §9/§14); 0 threads runs it inline.
+  std::unique_ptr<par::ThreadPool> analysis_pool;
+  const std::size_t analysis_pool_threads =
+      analysis_threads < 0 ? par::auto_thread_count()
+                           : static_cast<std::size_t>(analysis_threads);
+  if (analysis_pool_threads > 0) {
+    analysis_pool =
+        std::make_unique<par::ThreadPool>(analysis_pool_threads, &registry);
+  }
 
   collect::ShardedPlatformConfig config;
   config.shards = ingest_shards < 0
@@ -165,11 +176,7 @@ int main(int argc, char** argv) {
                             ingest_shards > 0 ? ingest_shards : 1);
   config.platform.local_as = local_as;
   config.platform.registry = &registry;
-  // The merged filter refresh runs on the merge plane's worker pool so no
-  // loop thread ever stalls mid-pipeline (DESIGN.md §9/§14).
-  config.analysis_threads =
-      analysis_threads < 0 ? par::auto_thread_count()
-                           : static_cast<std::size_t>(analysis_threads);
+  config.analysis_pool = analysis_pool.get();
   // RFC 4724 graceful restart: a flapping peer's RIB is retained as stale
   // for --gr-timeout seconds and resynced by delta instead of replayed.
   config.platform.gr.enabled = gr_timeout > 0;
@@ -290,9 +297,8 @@ int main(int argc, char** argv) {
     return static_cast<bgp::Timestamp>(loop.now_ms() / 1000);
   };
 
-  // One SO_REUSEPORT listener per shard (kernel spreads the sessions); the
-  // round-robin dispatcher takes over automatically where the option is
-  // unavailable. Admission (peer cap, accept governor) is global.
+  // One SO_REUSEPORT listener per shard (the kernel spreads the sessions).
+  // Admission (peer cap, accept governor) is global.
   if (!platform.listen(bind_ip, listen_port)) {
     std::fprintf(stderr, "error: cannot listen on %s:%u\n", bind_ip.c_str(),
                  listen_port);
@@ -502,13 +508,13 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
   std::fprintf(stderr,
-               "[collectord] AS%u: BGP on %s:%u%s (%zu ingest shard%s, %s), "
-               "HTTP on %s:%u (/v1/metrics, /v1/healthz, /v1/stream)\n",
+               "[collectord] AS%u: BGP on %s:%u%s (%zu ingest shard%s, "
+               "SO_REUSEPORT), HTTP on %s:%u (/v1/metrics, /v1/healthz, "
+               "/v1/stream)\n",
                local_as, bind_ip.c_str(), platform.port(),
                bmp_port > 0 ? " (+BMP)" : "", platform.shard_count(),
-               platform.shard_count() == 1 ? "" : "s",
-               platform.reuse_port_active() ? "SO_REUSEPORT" : "dispatcher",
-               bind_ip.c_str(), http.port());
+               platform.shard_count() == 1 ? "" : "s", bind_ip.c_str(),
+               http.port());
   while (!loop.stopped() && g_stop == 0) {
     loop.run_once(100);
   }

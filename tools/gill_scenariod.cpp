@@ -46,7 +46,8 @@ constexpr const char* kUsage =
     "  --host IP              ... its address (default 127.0.0.1)\n"
     "  --in-memory            embed the platform; deterministic logical clock\n"
     "  --archive-out PATH     (in-memory) write the archived MRT bytes here\n"
-    "  --analysis-threads N   (in-memory) platform analysis pool size\n"
+    "  --analysis-threads N   (in-memory) pool for the refresh's parallel\n"
+    "                         stages (default 0: serial)\n"
     "  --latency-ms N         one-way link latency per VP session (default 10)\n"
     "  --jitter-ms N          uniform jitter on top of latency (default 4)\n"
     "  --loss P               UPDATE loss probability, 0..1 (default 0.01)\n"

@@ -5,11 +5,15 @@
 # a 4-shard fleet while merge refreshes run on the analysis pool)
 # plus the scenario-labeled closed-loop harness (tests/scenario_test.cpp:
 # route-leak and sub-prefix-hijack replays driving a real gill-collectord
-# over shaped loopback TCP) and the archive group (tests/archive_test.cpp
-# and tests/query_engine_test.cpp: on-disk footer/torn-tail parsing under
-# ASan, the query-under-churn race — parallel scans vs sealing vs GC —
-# under TSan) under BOTH sanitizer configurations and runs them in one
-# invocation:
+# over shaped loopback TCP), the archive group (tests/archive_test.cpp,
+# tests/query_engine_test.cpp and bench_archive: on-disk footer/torn-tail
+# parsing under ASan, the query-under-churn race — parallel scans vs
+# sealing vs GC — and 4-client concurrent scans under TSan) and the
+# parallel group (tests/parallel_test.cpp, tests/metrics_test.cpp and the
+# merge plane's refresh tests in tests/sharded_test.cpp: the analysis
+# pool, the registry's concurrency smokes and a refresh job held in
+# flight while shards keep ingesting) under BOTH sanitizer configurations
+# and runs them in one invocation:
 #
 #   1. GILL_SANITIZE=ON      (ASan + UBSan — memory safety under the storm)
 #   2. GILL_SANITIZE=thread  (TSan — races in the session/transport layers)
@@ -36,11 +40,15 @@ run_one() {
     || { cat "$dir.configure.log"; return 1; }
   cmake --build "$dir" -j"$jobs" \
     --target soak_test stream_test sharded_test scenario_test bench_scenario \
-              archive_test query_engine_test \
+              archive_test query_engine_test bench_archive \
+              parallel_test metrics_test \
               gill-scenariod gill-collectord gill-simulate \
     > "$dir.build.log" 2>&1 \
     || { tail -50 "$dir.build.log"; return 1; }
-  (cd "$dir" && ctest -L 'soak|scenario|archive' --output-on-failure)
+  # bench_parallel_refresh carries the `parallel` label too; it is the
+  # analysis pool's speedup floor and runs in the unsanitized build only.
+  (cd "$dir" && ctest -L 'soak|scenario|archive|parallel' \
+    -E '^bench_parallel_refresh$' --output-on-failure)
 }
 
 run_one ON build-soak-asan

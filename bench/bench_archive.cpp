@@ -1,7 +1,7 @@
 // Archive store throughput: rotated MRT segments written through the
 // SegmentWriter's async pool path (the gill-collectord configuration),
 // then the read side at production scale (DESIGN.md §15): a cold
-// index-pruned query through the serial reader, the query engine's
+// index-pruned query on an engine with no pool or cache, the engine's
 // cold-vs-hot latency over the segment cache, and N concurrent clients
 // scanning the full store with a 1-thread vs 4-thread scan pool. Reports
 // append records/sec, sealed segment count, query latencies, cache
@@ -24,7 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "archive/archive_reader.hpp"
 #include "archive/archive_writer.hpp"
 #include "archive/query_engine.hpp"
 #include "archive/segment_cache.hpp"
@@ -149,24 +148,28 @@ int main(int argc, char** argv) {
   const std::uint64_t bytes_written =
       registry.counter_total("gill_archive_bytes_written_total");
 
-  // Cold query: a fresh reader loads the manifest, prunes on the index and
-  // streams one VP's middle window — the /data request an operator issues.
+  // Cold query: a fresh engine with no pool and no cache loads the
+  // manifest, prunes on the index and streams one VP's middle window on
+  // this thread — the /v1/data request an operator issues.
   archive::QueryOptions options;
   options.vp = 3;
   options.start = 1000 + kRotateSecs * 4;
   options.end = 1000 + kRotateSecs * 6;
   const bench::Stopwatch query_watch;
-  archive::ArchiveReader reader(&registry);
-  if (!reader.open(dir.string())) {
+  archive::QueryEngineConfig cold_config;
+  cold_config.directory = dir.string();
+  cold_config.registry = &registry;
+  archive::QueryEngine cold_engine(cold_config);
+  if (!cold_engine.open()) {
     std::fprintf(stderr, "error: cannot reopen archive for the query\n");
     return 1;
   }
-  archive::QueryCursor cursor = reader.query(options);
+  const auto cursor = cold_engine.query(options);
   std::string streamed;
-  while (cursor.next_chunk(streamed)) {
+  while (cursor->next_chunk(streamed)) {
   }
   const double query_seconds = query_watch.seconds();
-  const std::uint64_t matched = cursor.records_streamed();
+  const std::uint64_t matched = cursor->records_streamed();
   const double streamed_per_sec =
       query_seconds > 0.0 ? static_cast<double>(matched) / query_seconds : 0.0;
 

@@ -138,7 +138,7 @@ FleetResult run_fleet(std::size_t shard_count) {
   result.msgs_per_sec = static_cast<double>(result.updates) / result.elapsed_s;
   for (std::size_t shard = 0; shard < platform.shard_count(); ++shard) {
     const std::size_t stored = platform.with_shard(
-        shard, [](collect::Platform& p) { return p.store().stored(); });
+        shard, [](collect::Platform& p) { return p.stored_updates(); });
     result.per_shard_msgs_per_sec.push_back(static_cast<double>(stored) /
                                             result.elapsed_s);
   }

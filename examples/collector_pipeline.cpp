@@ -7,8 +7,10 @@
 //  3. peers stream updates; everything is mirrored for the sampling run,
 //  4. the orchestrator refreshes filters (Components #1 + #2) and installs
 //     them into the daemons,
-//  5. subsequent redundant traffic is discarded before the MRT store, and
-//     the two public documents (filters, anchors) are published,
+//  5. subsequent redundant traffic is discarded before the MRT archive (an
+//     in-memory daemon::MrtStore this program attaches as the platform's
+//     archive sink), and the two public documents (filters, anchors) are
+//     published,
 //  6. the run's metrics are dumped as a Prometheus exposition — the same
 //     text gill_collectord serves live on GET /metrics.
 #include <cstdio>
@@ -53,7 +55,11 @@ int main() {
   // Register everything in the process-wide registry so the final metrics
   // dump sees the platform and session counters.
   platform_config.registry = &metrics::default_registry();
+  // The archive sink every session writes what it keeps into; this program
+  // owns it and reads it back (gill-collectord passes its segment store).
+  daemon::MrtStore archive;
   collect::Platform platform(platform_config);
+  platform.set_archive(&archive);
   std::vector<bgp::VpId> vps;
   for (const auto& accepted : vetting.accepted()) {
     vps.push_back(platform.add_peer(accepted.as, 0));
@@ -93,7 +99,7 @@ int main() {
   }
   std::printf("\nafter 6 rounds: %zu updates stored, %zu mirrored for "
               "sampling\n",
-              platform.store().stored(), platform.mirror().size());
+              archive.stored(), platform.mirror().size());
 
   // --- 4. refresh ------------------------------------------------------------
   platform.refresh_filters();
@@ -102,16 +108,16 @@ int main() {
   std::printf("%s", platform.published_anchor_document().c_str());
 
   // --- 5. post-refresh traffic -------------------------------------------------
-  const std::size_t before = platform.store().stored();
+  const std::size_t before = archive.stored();
   announce(vps[0], "203.0.113.0/24", {65010, 64500}, 9000);
   announce(vps[1], "203.0.113.0/24", {65011, 64500}, 9000);
   std::printf("\npost-refresh round: %zu new updates stored (redundant "
               "copies discarded at the session)\n",
-              platform.store().stored() - before);
+              archive.stored() - before);
 
   // The archive is real MRT: persist and reload it.
   const char* path = "/tmp/gill_quickstart_archive.mrt";
-  platform.store().save(path);
+  archive.save(path);
   const auto reloaded = mrt::read_stream(path);
   std::printf("MRT archive round-trip: %zu records re-read from %s\n",
               reloaded ? reloaded->size() : 0, path);

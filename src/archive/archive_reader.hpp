@@ -1,103 +1,26 @@
-// The archive store's read path (DESIGN.md §10): ArchiveReader answers
-// per-window, per-VP, per-prefix queries over a directory of sealed
-// segments. Pruning happens on the segment index — a segment is opened
-// only when its footer-recorded time range and VP set can intersect the
-// query — and results stream out as framed MRT in bounded chunks: the
-// cursor holds at most one segment's payload in memory at a time, so a
-// query over a month of archive never materializes the month.
+// The archive query filter. The segment store has one reader,
+// archive::QueryEngine (query_engine.hpp); this header keeps only the
+// options type it takes, under its historical name, because external
+// programs (the perfbench harness) include it by this path.
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "archive/segment.hpp"
-#include "metrics/metrics.hpp"
 #include "netbase/prefix.hpp"
 
 namespace gill::archive {
 
-/// Filter for ArchiveReader::query. Time bounds are half-open
-/// [start, end); vp/prefix restrict when set. A prefix filter matches
-/// records whose prefix equals the query prefix or is more specific
-/// (contained in it) — the per-origin slice an operator asks for.
+/// Filter for QueryEngine::query. Time bounds are half-open [start, end);
+/// vp/prefix restrict when set. A prefix filter matches records whose
+/// prefix equals the query prefix or is more specific (contained in it) —
+/// the per-origin slice an operator asks for.
 struct QueryOptions {
   Timestamp start = 0;
   Timestamp end = std::numeric_limits<Timestamp>::max();
   std::optional<VpId> vp;
   std::optional<net::Prefix> prefix;
-};
-
-class ArchiveReader;
-
-/// Streams one query's matching records as framed MRT bytes. Obtained
-/// from ArchiveReader::query; the reader must outlive the cursor.
-class QueryCursor {
- public:
-  /// Appends up to ~`max_bytes` of framed MRT to `out` (a chunk may
-  /// overshoot by one record). Returns false when the stream is
-  /// exhausted and nothing was appended.
-  bool next_chunk(std::string& out, std::size_t max_bytes = 64 * 1024);
-
-  std::uint64_t records_streamed() const noexcept { return streamed_; }
-
- private:
-  friend class ArchiveReader;
-  QueryCursor(const ArchiveReader* reader, QueryOptions options);
-
-  /// Loads the next index-pruned segment payload; false when none left.
-  bool load_next_segment();
-
-  const ArchiveReader* reader_;
-  QueryOptions options_;
-  std::size_t segment_index_ = 0;       // next manifest row to consider
-  std::vector<std::uint8_t> payload_;   // current segment payload
-  std::size_t payload_offset_ = 0;      // resume point inside payload_
-  std::uint64_t streamed_ = 0;
-};
-
-class ArchiveReader {
- public:
-  /// `registry` hosts gill_archive_queries_served_total /
-  /// gill_archive_records_streamed_total; nullptr uses the default
-  /// registry.
-  explicit ArchiveReader(metrics::Registry* registry = nullptr);
-
-  /// Loads the manifest of `directory` (footers reconcile rows the
-  /// manifest missed). With `recover` set, crash artifacts are sealed
-  /// first — only safe when no live writer owns the directory.
-  bool open(const std::string& directory, bool recover = false);
-
-  /// Sealed segments, oldest first.
-  const std::vector<SegmentMeta>& segments() const noexcept {
-    return segments_;
-  }
-
-  /// The /segments payload: the manifest as one JSON document.
-  std::string segments_json() const { return manifest_to_json(segments_); }
-
-  /// Starts a streaming query; prunes segments via the index.
-  QueryCursor query(const QueryOptions& options) const;
-
-  /// Convenience for tests: decodes every matching record eagerly.
-  std::vector<mrt::Reader::Record> query_all(const QueryOptions& options) const;
-
-  const std::string& directory() const noexcept { return directory_; }
-
- private:
-  friend class QueryCursor;
-
-  bool segment_may_match(const SegmentMeta& meta,
-                         const QueryOptions& options) const;
-  bool record_matches(const mrt::Reader::Record& record,
-                      const QueryOptions& options) const;
-
-  std::string directory_;
-  std::vector<SegmentMeta> segments_;
-  metrics::Counter& queries_served_;
-  metrics::Counter& records_streamed_;
 };
 
 }  // namespace gill::archive

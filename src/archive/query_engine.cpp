@@ -11,8 +11,7 @@ metrics::Registry& resolve(metrics::Registry* registry) {
   return registry != nullptr ? *registry : metrics::default_registry();
 }
 
-// Same predicate as ArchiveReader::record_matches: the two paths must
-// agree record by record for the byte-identity guarantee to hold.
+// The per-record filter: what a segment that survived pruning emits.
 bool record_matches(const mrt::Reader::Record& record,
                     const QueryOptions& options) {
   const bgp::Update& update = record.update;
@@ -141,8 +140,8 @@ EngineCursor::ScanResult QueryEngine::scan_segment(
     records_streamed_counter_.inc(result.records);
     return result;
   }
-  // Matching records are copied verbatim — the merged stream is
-  // byte-identical to the serial ArchiveReader path.
+  // Matching records are copied verbatim from the payload: the stream is
+  // byte-identical to what the writer stored, record by record.
   mrt::Reader reader{std::span<const std::uint8_t>(*payload)};
   std::size_t consumed = 0;
   while (auto record = reader.next()) {

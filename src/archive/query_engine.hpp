@@ -1,20 +1,23 @@
-// Production-scale archive query engine (DESIGN.md §15). ArchiveReader's
-// cursor walks segments one at a time on the caller's thread; at archive
-// scale (thousands of compressed windows) a prefix query spends its life
-// inflating and scanning segments serially. QueryEngine keeps the same
-// streamed-MRT contract but:
+// The archive query engine (DESIGN.md §10, §15): the segment store's one
+// reader. It answers per-window, per-VP, per-prefix queries over a
+// directory of sealed segments and streams the matching records out as
+// framed MRT, copied verbatim from the segment payloads. It:
 //
-//  - prunes with the footer bloom filter as well as time range and VP set,
-//    so a prefix query opens only segments that can contain the prefix;
+//  - prunes on the manifest before opening anything: a segment is scanned
+//    only when its time range, VP set and per-prefix bloom filter can
+//    match the query;
 //  - fans the surviving segments out across a par::ThreadPool — each
 //    segment is scanned by a self-contained task — and re-merges results
-//    in manifest order, so the output bytes are identical to the serial
-//    path at any thread count;
+//    in manifest order, so the output bytes are identical to the inline
+//    (pool-less) path at any thread count;
 //  - reads payloads through the shared SegmentCache, so hot windows are
 //    served without touching disk;
 //  - pins its manifest snapshot in the SegmentPins ledger for the cursor's
 //    lifetime, so a retention pass never deletes a segment out from under
 //    an in-flight query.
+//
+// Pool, cache and pins are each optional; with none of them the engine
+// scans one segment at a time on the caller's thread.
 //
 // One QueryEngine is shared by every HTTP request; refresh() swaps in a
 // new manifest snapshot (cheap shared_ptr swap) when the writer seals or

@@ -104,6 +104,14 @@ VpId Platform::add_dialed_peer(bgp::AsNumber peer_as, Timestamp now,
                            /*make_fake_peer=*/false, /*arm_retry=*/true);
 }
 
+std::size_t Platform::stored_updates() const {
+  std::size_t total = 0;
+  for (const auto& [vp, peer] : peers_) {
+    total += peer.daemon->stats().updates_stored;
+  }
+  return total;
+}
+
 void Platform::set_archive(mrt::Sink* archive) {
   archive_ = archive;
   for (auto& [vp, peer] : peers_) peer.daemon->set_archive(archive);
@@ -119,7 +127,7 @@ VpId Platform::add_peer_internal(
   peer.as = peer_as;
   peer.transport = std::move(transport);
   peer.daemon = std::make_unique<daemon::BgpDaemon>(
-      vp, config_.local_as, *peer.transport, &filters_, &store_, registry_);
+      vp, config_.local_as, *peer.transport, &filters_, nullptr, registry_);
   peer.daemon->set_graceful_restart(config_.gr);
   if (archive_ != nullptr) peer.daemon->set_archive(archive_);
   peer.daemon->set_mirror([this, vp](const bgp::Update& update) {

@@ -251,12 +251,15 @@ class Platform {
   /// Monotonic id of the installed filter set; bumps on every install.
   std::uint64_t filter_generation() const noexcept { return generation_; }
 
-  /// All updates retained so far (the public database).
-  const daemon::MrtStore& store() const noexcept { return store_; }
+  /// Updates this platform's sessions kept (passed the filters): the sum
+  /// of their daemons' updates_stored counters, sink or no sink.
+  std::size_t stored_updates() const;
 
   /// Routes every daemon's stored records (updates that survive the
-  /// filters, plus RIB snapshots) into `archive` in addition to the
-  /// in-memory store — the collector passes its archive::SegmentWriter.
+  /// filters, plus RIB snapshots) into `archive`, the one place a session
+  /// writes what it keeps. The caller owns the sink: the collector passes
+  /// its archive::SegmentWriter, callers that read records back a
+  /// daemon::MrtStore. Without one, kept updates are counted and dropped.
   /// Applies to existing sessions and every session added later; nullptr
   /// detaches.
   void set_archive(mrt::Sink* archive);
@@ -355,7 +358,6 @@ class Platform {
   ForwardingSink stream_publisher_;
   std::map<VpId, Peer> peers_;
   VpId next_vp_ = 0;
-  daemon::MrtStore store_;
   mrt::Sink* archive_ = nullptr;
   filt::FilterTable filters_;
   std::vector<VpId> anchors_;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 namespace gill::collect {
@@ -271,7 +270,7 @@ std::size_t ShardedPlatform::stored_updates() const {
   std::size_t total = 0;
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     total += shards_.call(shard, [this, shard] {
-      return states_[shard]->platform->store().stored();
+      return states_[shard]->platform->stored_updates();
     });
   }
   return total;
@@ -382,24 +381,6 @@ void ShardedPlatform::poll_refresh() {
 
 void ShardedPlatform::wait_for_refresh() {
   if (refresh_in_flight()) install(job_.get());
-}
-
-bool ShardedPlatform::save_archive(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  bool ok = true;
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    const std::vector<std::uint8_t> buffer =
-        shards_.call(shard, [this, shard]() -> std::vector<std::uint8_t> {
-          return states_[shard]->platform->store().writer().buffer();
-        });
-    if (!buffer.empty() &&
-        std::fwrite(buffer.data(), 1, buffer.size(), file) != buffer.size()) {
-      ok = false;
-      break;
-    }
-  }
-  return std::fclose(file) == 0 && ok;
 }
 
 }  // namespace gill::collect

@@ -124,9 +124,10 @@ class ShardedPlatform {
   bool listen(const std::string& host, std::uint16_t port);
   /// Dials an outbound peering; sessions are spread round-robin.
   bool dial(const std::string& host, std::uint16_t port, bgp::AsNumber asn);
-  /// Tees every session's stored records into `sink` IN ADDITION to the
-  /// per-shard in-memory stores. `sink` is written from N shard threads —
-  /// wrap it in a LockedSink (or pass something inherently thread-safe).
+  /// Routes every session's stored records into `sink`, the fleet's one
+  /// archive (see Platform::set_archive); the caller owns it. `sink` is
+  /// written from N shard threads — wrap it in a LockedSink (or pass
+  /// something inherently thread-safe).
   void set_archive(mrt::Sink* sink);
   /// Live-stream tap: updates are collected into per-shard outboxes on
   /// the hot path and fanned out to `publisher` on the CONTROL thread by
@@ -162,7 +163,8 @@ class ShardedPlatform {
   HealthSnapshot health_snapshot() const;
   /// True when any shard's memory watermark holds it degraded.
   bool degraded() const;
-  /// Sum of per-shard in-memory stores.
+  /// Updates this fleet's sessions kept (Platform::stored_updates summed
+  /// over the shards). Other platforms sharing the registry do not count.
   std::size_t stored_updates() const;
 
   /// Harvests every shard's mirror (each restarts empty) and stable-merges
@@ -196,11 +198,6 @@ class ShardedPlatform {
   std::string published_anchor_document() const {
     return anchor_document(anchors_);
   }
-
-  /// Concatenates the per-shard MRT stores into one archive file. Shard
-  /// order, NOT canonical across shard counts — an operator dump, not the
-  /// determinism surface (that is take_merged_mirror / merged_rib_dump).
-  bool save_archive(const std::string& path) const;
 
   /// Runs `fn(platform)` on shard `shard`'s thread and returns its result
   /// — the test/tooling escape hatch for per-shard inspection.

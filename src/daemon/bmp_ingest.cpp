@@ -21,9 +21,11 @@ BmpCounters::BmpCounters(metrics::Registry& registry, VpId vp)
       updates_filtered(registry.counter(
           "gill_bmp_updates_filtered_total",
           "Updates discarded by the filter table", bmp_labels(vp))),
-      updates_stored(registry.counter("gill_bmp_updates_stored_total",
-                                      "Updates written to the MRT archive",
-                                      bmp_labels(vp))),
+      updates_stored(registry.counter(
+          "gill_bmp_updates_stored_total",
+          "Updates kept by the filter table and handed to the archive sink "
+          "(counted whether or not a sink is attached)",
+          bmp_labels(vp))),
       garbage_bytes(registry.counter("gill_bmp_garbage_bytes_total",
                                      "Undecodable bytes skipped",
                                      bmp_labels(vp))) {}
@@ -42,10 +44,12 @@ BmpIngestStats BmpIngest::stats() const noexcept {
 
 void BmpIngest::ingest(const wire::BmpRouteMonitoring& monitoring,
                        Timestamp now) {
-  const Timestamp when = monitoring.peer.timestamp_sec != 0
-                             ? static_cast<Timestamp>(
-                                   monitoring.peer.timestamp_sec)
-                             : now;
+  // The router's per-peer timestamp is kept unless it lies ahead of
+  // `now`: archive windows follow record times, so one future stamp (a
+  // clock set ahead, or 0xFFFFFFFF from anything that reaches the BMP
+  // port) would otherwise open a window the timer never seals.
+  const auto stamped = static_cast<Timestamp>(monitoring.peer.timestamp_sec);
+  const Timestamp when = stamped != 0 && stamped <= now ? stamped : now;
   auto process = [&](Update update) {
     counters_.updates_received.inc();
     if (mirror_) mirror_(update);
@@ -53,10 +57,8 @@ void BmpIngest::ingest(const wire::BmpRouteMonitoring& monitoring,
       counters_.updates_filtered.inc();
       return;
     }
-    if (store_) {
-      store_->store(update);
-      counters_.updates_stored.inc();
-    }
+    if (archive_) archive_->store(update);
+    counters_.updates_stored.inc();
   };
 
   const auto& message = monitoring.update;

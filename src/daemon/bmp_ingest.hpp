@@ -1,7 +1,9 @@
 // BMP ingestion adaptor (§14): lets a router feed GILL through the BGP
 // Monitoring Protocol instead of a native peering session. Route
-// Monitoring messages are unwrapped into stored updates and pushed through
-// the same mirror -> filter -> store pipeline as the BGP daemon's.
+// Monitoring messages are unwrapped into per-prefix updates and pushed
+// through the same mirror -> filter -> archive sink pipeline as the BGP
+// daemon's, with the same counting: every update the filters keep is
+// counted as stored, whether or not a sink is attached.
 #pragma once
 
 #include <functional>
@@ -19,7 +21,7 @@ struct BmpIngestStats {
   std::size_t peer_events = 0;       // peer up/down
   std::size_t updates_received = 0;  // per-prefix announcements/withdrawals
   std::size_t updates_filtered = 0;
-  std::size_t updates_stored = 0;
+  std::size_t updates_stored = 0;    // kept by the filters, sink or not
   std::size_t garbage_bytes = 0;
 };
 
@@ -40,21 +42,24 @@ struct BmpCounters {
 /// Stateful decoder for one BMP byte stream.
 class BmpIngest {
  public:
-  /// `vp` identifies the monitored router; `filters`/`store` may be null.
+  /// `vp` identifies the monitored router; `filters`/`archive` may be
+  /// null. `archive` receives every kept update — an MrtStore, or the
+  /// collector's archive sink (the LockedSink over its segment writer).
   /// `registry` hosts the stream's counters; when null the ingest owns a
   /// private registry (isolated stand-alone use).
-  BmpIngest(VpId vp, const filt::FilterTable* filters, MrtStore* store,
+  BmpIngest(VpId vp, const filt::FilterTable* filters, mrt::Sink* archive,
             metrics::Registry* registry = nullptr)
       : vp_(vp),
         filters_(filters),
-        store_(store),
+        archive_(archive),
         own_registry_(registry ? nullptr
                                : std::make_unique<metrics::Registry>()),
         registry_(registry ? registry : own_registry_.get()),
         counters_(*registry_, vp) {}
 
-  /// Feeds raw bytes; `now` stamps stored updates (BMP's per-peer
-  /// timestamp is preferred when present).
+  /// Feeds raw bytes; `now` stamps stored updates. BMP's per-peer
+  /// timestamp is preferred when present and not after `now`; a future
+  /// stamp is replaced by `now`.
   void feed(std::span<const std::uint8_t> data, Timestamp now);
 
   /// A consistent value snapshot read from the registry counters.
@@ -71,7 +76,7 @@ class BmpIngest {
 
   VpId vp_;
   const filt::FilterTable* filters_;
-  MrtStore* store_;
+  mrt::Sink* archive_;
   std::unique_ptr<metrics::Registry> own_registry_;
   metrics::Registry* registry_;
   BmpCounters counters_;

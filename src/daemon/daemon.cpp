@@ -71,9 +71,11 @@ SessionCounters::SessionCounters(metrics::Registry& registry, VpId vp)
       updates_filtered(registry.counter(
           "gill_daemon_updates_filtered_total",
           "Updates discarded by the filter table", vp_labels(vp))),
-      updates_stored(registry.counter("gill_daemon_updates_stored_total",
-                                      "Updates written to the MRT archive",
-                                      vp_labels(vp))),
+      updates_stored(registry.counter(
+          "gill_daemon_updates_stored_total",
+          "Updates kept by the filter table and handed to the archive sink "
+          "(counted whether or not a sink is attached)",
+          vp_labels(vp))),
       garbage_bytes(registry.counter(
           "gill_daemon_garbage_bytes_total",
           "Bytes walked over while resynchronizing the wire", vp_labels(vp))),
@@ -275,11 +277,9 @@ void BgpDaemon::process_update(Update update, bool synthetic) {
     counters_.updates_filtered.inc();
     return;
   }
-  if (store_ || archive_) {
-    if (store_) store_->store(update);
-    if (archive_) archive_->store(update);
-    counters_.updates_stored.inc();
-  }
+  if (store_) store_->store(update);
+  if (archive_) archive_->store(update);
+  counters_.updates_stored.inc();
 }
 
 void BgpDaemon::flush_stale(Timestamp now, metrics::Counter& counter) {

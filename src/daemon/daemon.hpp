@@ -149,8 +149,9 @@ struct GracefulRestartConfig {
   Timestamp max_stale_time = 120;
 };
 
-/// The in-memory MRT sink shared by the daemons (the on-disk counterpart
-/// is archive::SegmentWriter; both implement mrt::Sink).
+/// An in-memory MRT sink for callers that read the stored records back
+/// (tests, the in-memory harness, examples). The collector's archive is
+/// archive::SegmentWriter; both implement mrt::Sink.
 class MrtStore : public mrt::Sink {
  public:
   void store(const Update& update) override { writer_.write_update(update); }
@@ -173,7 +174,7 @@ struct DaemonStats {
   std::size_t messages_received = 0;
   std::size_t updates_received = 0;   // individual prefix announcements
   std::size_t updates_filtered = 0;   // discarded by the filter table
-  std::size_t updates_stored = 0;
+  std::size_t updates_stored = 0;     // kept by the filters, sink or not
   std::size_t garbage_bytes = 0;      // resynchronized bytes
   std::size_t notifications_sent = 0;
   std::size_t decode_errors = 0;      // malformed messages / garbage runs
@@ -218,7 +219,8 @@ struct SessionCounters {
 /// One BGP daemon instance (one peering session).
 class BgpDaemon {
  public:
-  /// `filters` and `store` may be null (no filtering / no storage).
+  /// `filters` and `store` may be null (no filtering / no storage; kept
+  /// updates are counted in updates_stored either way).
   /// `registry` is where the session's counters are registered (labeled
   /// {vp="..."}); when null the daemon owns a private registry, so
   /// stand-alone sessions stay isolated from each other.
@@ -278,9 +280,10 @@ class BgpDaemon {
     mirror_ = std::move(mirror);
   }
 
-  /// Second storage destination, written in addition to the MrtStore:
-  /// the collector points every daemon at its on-disk archive writer, so
-  /// acknowledged updates and RIB snapshots land in rotated segments.
+  /// Archive sink for kept updates and RIB snapshots, written after the
+  /// constructor's `store` when both are set. A collector Platform passes
+  /// no store and points every daemon at its one archive, so records land
+  /// in the caller's sink (the on-disk segment writer in gill-collectord).
   void set_archive(mrt::Sink* archive) { archive_ = archive; }
 
   /// §8: "store either RIBs every eight hours or every update". Enables

@@ -209,7 +209,10 @@ ScenarioVerdict ScenarioDriver::run_tcp() {
 }
 
 ScenarioVerdict ScenarioDriver::run_in_memory() {
+  // The run's archive: every record the sessions keep, in store order.
+  daemon::MrtStore archive;
   collect::Platform platform;
+  platform.set_archive(&archive);
   std::unique_ptr<par::ThreadPool> analysis_pool;
   if (config_.analysis_threads > 0) {
     analysis_pool = std::make_unique<par::ThreadPool>(config_.analysis_threads);
@@ -298,7 +301,7 @@ ScenarioVerdict ScenarioDriver::run_in_memory() {
   platform.refresh_filters(analysis_pool.get());
   pump(25.0);
 
-  archived_bytes_ = platform.store().writer().buffer();
+  archived_bytes_ = archive.writer().buffer();
   mrt::Reader reader(
       {archived_bytes_.data(), archived_bytes_.size()});
   while (const auto record = reader.next()) {

@@ -53,7 +53,8 @@ class ScenarioDriver {
   /// failures (cannot dial, sessions never establish, HTTP unreachable).
   ScenarioVerdict run_tcp();
 
-  /// Deterministic embedded run; scores from the platform's own store.
+  /// Deterministic embedded run; scores from the in-memory archive the
+  /// run attaches to its platform.
   ScenarioVerdict run_in_memory();
 
   /// The archived MRT byte stream of the last run_in_memory() call (the

@@ -2,7 +2,9 @@
 // rotation, index-pruned queries, the crash-safety protocol (torn-write
 // fault -> recovery seals and truncates, acknowledged records byte-identical)
 // and the end-to-end data-retrieval path — loopback BGP peers feeding a
-// Platform whose archive serves GET /data as chunked framed MRT.
+// Platform whose archive serves GET /v1/data as chunked framed MRT. Every
+// read goes through the store's one reader, QueryEngine, run inline here
+// (no pool, cache or pins; query_engine_test covers those).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -18,16 +20,19 @@
 #include <string>
 #include <vector>
 
-#include "archive/archive_reader.hpp"
 #include "archive/archive_writer.hpp"
 #include "archive/bloom.hpp"
+#include "archive/query_engine.hpp"
 #include "archive/retention.hpp"
 #include "archive/segment.hpp"
+#include "collector/archive_routes.hpp"
 #include "collector/platform.hpp"
+#include "daemon/bmp_ingest.hpp"
 #include "net/event_loop.hpp"
 #include "net/http_endpoint.hpp"
 #include "net/tcp_transport.hpp"
 #include "parallel/thread_pool.hpp"
+#include "wire/bmp.hpp"
 
 namespace gill::archive {
 namespace {
@@ -62,6 +67,40 @@ std::vector<std::uint8_t> encode(const std::vector<bgp::Update>& updates) {
   mrt::Writer writer;
   for (const auto& update : updates) writer.write_update(update);
   return writer.buffer();
+}
+
+/// The framed MRT `options` selects from `dir`, streamed by a fresh
+/// inline engine.
+std::string query_bytes(const std::string& dir,
+                        const QueryOptions& options = {}) {
+  metrics::Registry registry;
+  QueryEngine engine({.directory = dir, .registry = &registry});
+  EXPECT_TRUE(engine.open());
+  const auto cursor = engine.query(options);
+  std::string out;
+  while (cursor->next_chunk(out)) {
+  }
+  return out;
+}
+
+/// query_bytes, decoded record by record.
+std::vector<mrt::Reader::Record> query_records(
+    const std::string& dir, const QueryOptions& options = {}) {
+  const std::string bytes = query_bytes(dir, options);
+  mrt::Reader reader(std::span(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+  std::vector<mrt::Reader::Record> records;
+  while (auto record = reader.next()) records.push_back(std::move(*record));
+  EXPECT_TRUE(reader.ok());
+  return records;
+}
+
+/// The manifest snapshot an inline engine over `dir` opens with.
+std::vector<SegmentMeta> engine_manifest(const std::string& dir) {
+  metrics::Registry registry;
+  QueryEngine engine({.directory = dir, .registry = &registry});
+  EXPECT_TRUE(engine.open());
+  return *engine.snapshot();
 }
 
 // ---------------------------------------------------------------------------
@@ -190,10 +229,8 @@ TEST(SegmentWriter, RotatesOnWallClockBoundaries) {
   }
   EXPECT_FALSE(fs::exists(fs::path(dir) / kActiveSegmentName));
 
-  // A reader sees the same manifest.
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.open(dir));
-  EXPECT_EQ(reader.segments(), manifest);
+  // The reader sees the same manifest.
+  EXPECT_EQ(engine_manifest(dir), manifest);
 }
 
 TEST(SegmentWriter, AsyncPoolWriterMatchesInlineResult) {
@@ -222,12 +259,7 @@ TEST(SegmentWriter, AsyncPoolWriterMatchesInlineResult) {
 
   // The byte stream on disk is the exact append-order encoding: jobs were
   // serialized even though the pool has two workers.
-  ArchiveReader reader(&registry);
-  ASSERT_TRUE(reader.open(dir));
-  QueryCursor cursor = reader.query({});
-  std::string streamed;
-  while (cursor.next_chunk(streamed)) {
-  }
+  const std::string streamed = query_bytes(dir);
   const std::vector<std::uint8_t> expected = encode(sent);
   ASSERT_EQ(streamed.size(), expected.size());
   EXPECT_EQ(0, std::memcmp(streamed.data(), expected.data(),
@@ -237,7 +269,7 @@ TEST(SegmentWriter, AsyncPoolWriterMatchesInlineResult) {
 }
 
 // ---------------------------------------------------------------------------
-// ArchiveReader: index pruning and per-record filters.
+// Queries: index pruning and per-record filters.
 // ---------------------------------------------------------------------------
 
 struct QueryFixture : ::testing::Test {
@@ -259,14 +291,18 @@ struct QueryFixture : ::testing::Test {
 };
 
 TEST_F(QueryFixture, TimeWindowIsHalfOpenAndPrunesSegments) {
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.open(dir));
-  ASSERT_EQ(reader.segments().size(), 3u);
+  metrics::Registry registry;
+  QueryEngine engine({.directory = dir, .registry = &registry});
+  ASSERT_TRUE(engine.open());
+  ASSERT_EQ(engine.snapshot()->size(), 3u);
 
   QueryOptions options;
   options.start = 1100;
   options.end = 2000;  // excludes the t=2000 record
-  const auto records = reader.query_all(options);
+  // The [2700, 3600) window starts after the query ends: pruned unread.
+  EXPECT_EQ(engine.query(options)->planned_segments(), 2u);
+  EXPECT_EQ(engine.segments_pruned(), 1u);
+  const auto records = query_records(dir, options);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].update.time, 1100u);
   EXPECT_EQ(records[1].update.time, 1900u);
@@ -274,25 +310,36 @@ TEST_F(QueryFixture, TimeWindowIsHalfOpenAndPrunesSegments) {
 
 TEST_F(QueryFixture, VpFilterUsesTheSegmentIndex) {
   metrics::Registry registry;
-  ArchiveReader reader(&registry);
-  ASSERT_TRUE(reader.open(dir));
+  QueryEngine engine({.directory = dir, .registry = &registry});
+  ASSERT_TRUE(engine.open());
   QueryOptions options;
   options.vp = 2;
-  const auto records = reader.query_all(options);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].update.prefix, pfx("192.168.0.0/16"));
-  // Only the one matching record crossed the stream counter: segments
-  // whose VP set excludes vp=2 were pruned without being decoded.
-  EXPECT_EQ(registry.counter_total("gill_archive_records_streamed_total"), 1u);
-  EXPECT_EQ(registry.counter_total("gill_archive_queries_served_total"), 1u);
+  const auto cursor = engine.query(options);
+  // Only the [1800, 2700) window lists vp=2 in its footer; the other two
+  // are pruned without being decoded.
+  EXPECT_EQ(cursor->planned_segments(), 1u);
+  EXPECT_EQ(engine.segments_pruned(), 2u);
+  std::string bytes;
+  while (cursor->next_chunk(bytes)) {
+  }
+  mrt::Reader reader(std::span(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+  const auto record = reader.next();
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->update.prefix, pfx("192.168.0.0/16"));
+  EXPECT_FALSE(reader.next().has_value());
+  // Only the one matching record crossed the stream counter.
+  EXPECT_EQ(cursor->records_streamed(), 1u);
+  EXPECT_EQ(
+      registry.counter_total("gill_archive_engine_records_streamed_total"),
+      1u);
+  EXPECT_EQ(registry.counter_total("gill_archive_engine_queries_total"), 1u);
 }
 
 TEST_F(QueryFixture, PrefixFilterMatchesEqualOrMoreSpecific) {
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.open(dir));
   QueryOptions options;
   options.prefix = pfx("10.0.0.0/16");
-  const auto records = reader.query_all(options);
+  const auto records = query_records(dir, options);
   // 10.0.0.0/24 and 10.0.128.0/25 are inside 10.0.0.0/16; 10.1.0.0/24,
   // 192.168.0.0/16 and the v6 prefix are not.
   ASSERT_EQ(records.size(), 2u);
@@ -301,17 +348,25 @@ TEST_F(QueryFixture, PrefixFilterMatchesEqualOrMoreSpecific) {
 
   QueryOptions v6;
   v6.prefix = pfx("2001:db8::/32");
-  const auto v6_records = reader.query_all(v6);
+  const auto v6_records = query_records(dir, v6);
   ASSERT_EQ(v6_records.size(), 1u);
   EXPECT_EQ(v6_records[0].update.prefix, pfx("2001:db8::/48"));
 }
 
 TEST_F(QueryFixture, SegmentsJsonListsTheManifest) {
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.open(dir));
-  const auto parsed = manifest_from_json(reader.segments_json());
+  metrics::Registry registry;
+  QueryEngine engine({.directory = dir, .registry = &registry});
+  ASSERT_TRUE(engine.open());
+  const auto parsed = manifest_from_json(engine.segments_json());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, reader.segments());
+  // The operator form is the manifest without the bloom bits.
+  std::vector<SegmentMeta> expected = *engine.snapshot();
+  ASSERT_EQ(expected.size(), 3u);
+  for (SegmentMeta& meta : expected) {
+    EXPECT_FALSE(meta.bloom.empty());
+    meta.bloom = PrefixBloom{};
+  }
+  EXPECT_EQ(*parsed, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,13 +423,8 @@ TEST(CrashSafety, RecoveryAfterTornWriteServesAcknowledgedRecords) {
 
   // Every acknowledged record comes back byte-identically; the torn tail
   // is gone.
-  ArchiveReader reader(&registry);
-  ASSERT_TRUE(reader.open(dir));
-  ASSERT_EQ(reader.segments().size(), 2u);
-  QueryCursor cursor = reader.query({});
-  std::string streamed;
-  while (cursor.next_chunk(streamed)) {
-  }
+  ASSERT_EQ(engine_manifest(dir).size(), 2u);
+  const std::string streamed = query_bytes(dir);
   const std::vector<std::uint8_t> expected = encode(acknowledged);
   ASSERT_EQ(streamed.size(), expected.size());
   EXPECT_EQ(0,
@@ -412,12 +462,7 @@ TEST(CrashSafety, RecoverySealsEveryTornTailLength) {
     ASSERT_TRUE(result.has_value()) << "cut at " << cut;
     EXPECT_EQ(result->recovered_segments, 1u);
     EXPECT_EQ(result->truncated_bytes, cut - tail_start);
-    ArchiveReader reader;
-    ASSERT_TRUE(reader.open(dir));
-    QueryCursor cursor = reader.query({});
-    std::string streamed;
-    while (cursor.next_chunk(streamed)) {
-    }
+    const std::string streamed = query_bytes(dir);
     ASSERT_EQ(streamed.size(), complete.size()) << "cut at " << cut;
     EXPECT_EQ(0, std::memcmp(streamed.data(), complete.data(),
                              complete.size()));
@@ -427,7 +472,8 @@ TEST(CrashSafety, RecoverySealsEveryTornTailLength) {
 
 // ---------------------------------------------------------------------------
 // End to end: loopback BGP peers -> Platform with an archive -> rotation ->
-// GET /data returns exactly one VP's window, decodable by the MRT reader.
+// GET /v1/data (collect::route_archive, the collector's handler) returns
+// exactly one VP's window, decodable by the MRT reader.
 // ---------------------------------------------------------------------------
 
 /// De-chunks a Transfer-Encoding: chunked HTTP body.
@@ -446,13 +492,48 @@ std::string dechunk(const std::string& body) {
   return out;
 }
 
+/// One GET over loopback against an endpoint served by `loop`: the raw
+/// response (status line, headers, body) as read until the server closes.
+std::string http_get(net::EventLoop& loop, std::uint16_t port,
+                     const std::string& target) {
+  const std::string request =
+      "GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
+  std::string response;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return response;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+  std::size_t sent = 0;
+  bool closed = false;
+  for (int i = 0; i < 3000 && !closed; ++i) {
+    loop.run_once(1);
+    if (sent < request.size()) {
+      const ssize_t n = ::send(fd, request.data() + sent,
+                               request.size() - sent, MSG_NOSIGNAL);
+      if (n > 0) sent += static_cast<std::size_t>(n);
+    }
+    char buffer[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+      if (n > 0) {
+        response.append(buffer, static_cast<std::size_t>(n));
+        continue;
+      }
+      if (n == 0) closed = true;
+      break;
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
 TEST(EndToEnd, DataEndpointServesOneVpsWindowAsFramedMrt) {
   net::EventLoop loop;
   metrics::Registry registry;
-  collect::PlatformConfig platform_config;
-  platform_config.registry = &registry;
-  collect::Platform platform(platform_config);
-
   const std::string dir = scratch_dir("e2e");
   SegmentWriterConfig archive_config;
   archive_config.directory = dir;
@@ -460,6 +541,10 @@ TEST(EndToEnd, DataEndpointServesOneVpsWindowAsFramedMrt) {
   archive_config.registry = &registry;
   SegmentWriter writer(archive_config);
   ASSERT_TRUE(writer.open());
+
+  collect::PlatformConfig platform_config;
+  platform_config.registry = &registry;
+  collect::Platform platform(platform_config);
   platform.set_archive(&writer);
 
   // The collectord accept path.
@@ -478,43 +563,25 @@ TEST(EndToEnd, DataEndpointServesOneVpsWindowAsFramedMrt) {
         accepted.push_back(vp);
       }));
 
-  // The collectord HTTP plane, including the /data streaming route.
+  // The collectord HTTP plane: its archive routes over one shared engine,
+  // refreshed whenever the writer's manifest generation moves.
+  QueryEngine engine({.directory = dir, .registry = &registry});
+  ASSERT_TRUE(engine.open());
   net::HttpEndpoint http(loop, &registry);
-  http.route("/data", [&registry, dir](const net::HttpRequest& request) {
-    QueryOptions options;
-    if (const auto* start = request.get("start")) {
-      options.start = std::stoul(*start);
-    }
-    if (const auto* end = request.get("end")) options.end = std::stoul(*end);
-    if (const auto* vp = request.get("vp")) {
-      options.vp = static_cast<VpId>(std::stoul(*vp));
-    }
-    auto reader = std::make_shared<ArchiveReader>(&registry);
-    EXPECT_TRUE(reader->open(dir));
-    auto cursor = std::make_shared<QueryCursor>(reader->query(options));
-    net::HttpResponse response;
-    response.content_type = "application/octet-stream";
-    response.producer = [reader, cursor](std::string& out) {
-      return cursor->next_chunk(out);
-    };
-    return response;
-  });
-  http.route("/segments", [&registry, dir](const net::HttpRequest&) {
-    ArchiveReader reader(&registry);
-    EXPECT_TRUE(reader.open(dir));
-    net::HttpResponse response;
-    response.content_type = "application/json";
-    response.body = reader.segments_json();
-    return response;
-  });
+  ASSERT_TRUE(collect::route_archive(http, engine));
   ASSERT_TRUE(http.listen("127.0.0.1", 0));
 
   // Two routers peer in over real sockets.
   bgp::Timestamp now = 1000;
+  std::uint64_t seen_generation = 0;
   const auto pump = [&] {
     platform.step(now);
     for (auto& [vp, transport] : transports) transport->sync();
     writer.tick(now);
+    if (writer.manifest_generation() != seen_generation) {
+      seen_generation = writer.manifest_generation();
+      engine.refresh();
+    }
   };
   struct Client {
     net::TcpTransport transport;
@@ -565,41 +632,10 @@ TEST(EndToEnd, DataEndpointServesOneVpsWindowAsFramedMrt) {
   ASSERT_TRUE(drive([&] { return writer.segments_sealed() == 1; }));
 
   // Fetch one VP's window over HTTP and decode it with the MRT reader.
-  const std::string request = "GET /data?vp=" + std::to_string(alpha_vp) +
-                              "&start=900&end=1800 HTTP/1.1\r\n"
-                              "Host: t\r\n\r\n";
-  std::string response;
-  {
-    // http_exchange inline (the net_test helper lives in another TU).
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(http.port());
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    std::size_t sent = 0;
-    bool closed = false;
-    for (int i = 0; i < 3000 && !closed; ++i) {
-      loop.run_once(1);
-      if (sent < request.size()) {
-        const ssize_t n = ::send(fd, request.data() + sent,
-                                 request.size() - sent, MSG_NOSIGNAL);
-        if (n > 0) sent += static_cast<std::size_t>(n);
-      }
-      char buffer[4096];
-      for (;;) {
-        const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-        if (n > 0) {
-          response.append(buffer, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n == 0) closed = true;
-        break;
-      }
-    }
-    ::close(fd);
-  }
+  const std::string response =
+      http_get(loop, http.port(),
+               "/v1/data?vp=" + std::to_string(alpha_vp) +
+                   "&start=900&end=1800");
   ASSERT_TRUE(response.starts_with("HTTP/1.1 200 OK\r\n")) << response;
   ASSERT_NE(response.find("Transfer-Encoding: chunked\r\n"),
             std::string::npos);
@@ -622,6 +658,110 @@ TEST(EndToEnd, DataEndpointServesOneVpsWindowAsFramedMrt) {
     EXPECT_LT(update.time, 1800u);
     EXPECT_EQ(update.prefix, pfx("10.10." + std::to_string(i) + ".0/24"));
   }
+}
+
+TEST(EndToEnd, DataEndpointRejectsMalformedParamsNamingTheValue) {
+  net::EventLoop loop;
+  metrics::Registry registry;
+  QueryEngine engine(
+      {.directory = scratch_dir("bad_param"), .registry = &registry});
+  ASSERT_TRUE(engine.open());
+  net::HttpEndpoint http(loop, &registry);
+  ASSERT_TRUE(collect::route_archive(http, engine));
+  ASSERT_TRUE(http.listen("127.0.0.1", 0));
+
+  // start/end overflow or are not decimal, vp does not fit 32 bits, the
+  // prefix length exceeds /32: each is a 400 naming the offending value.
+  for (const auto& [param, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"start", "abc"},
+           {"end", "18446744073709551616"},
+           {"vp", "4294967296"},
+           {"prefix", "10.0.0.0/33"}}) {
+    const std::string response =
+        http_get(loop, http.port(), "/v1/data?" + param + "=" + value);
+    EXPECT_TRUE(response.starts_with("HTTP/1.1 400 ")) << response;
+    const std::string body = response.substr(response.find("\r\n\r\n") + 4);
+    EXPECT_NE(body.find("\"code\":\"bad_param\""), std::string::npos)
+        << body;
+    EXPECT_NE(body.find("bad " + param + " '" + value + "'"),
+              std::string::npos)
+        << body;
+  }
+  // In-range values are served (an empty store: an empty body).
+  EXPECT_TRUE(http_get(loop, http.port(),
+                       "/v1/data?start=1&end=2&vp=4294967295&prefix="
+                       "10.0.0.0/32")
+                  .starts_with("HTTP/1.1 200 OK\r\n"));
+}
+
+// BMP feeds archive through the same sink as BGP sessions: a Route
+// Monitoring announcement fed into BmpIngest over a SegmentWriter comes
+// back from the query engine, stamped with the BMP per-peer time.
+TEST(EndToEnd, BmpRouteMonitoringReachesTheArchive) {
+  const std::string dir = scratch_dir("bmp");
+  metrics::Registry registry;
+  SegmentWriterConfig config;
+  config.directory = dir;
+  config.rotate_secs = 900;
+  config.registry = &registry;
+  SegmentWriter writer(config);
+  ASSERT_TRUE(writer.open());
+  daemon::BmpIngest ingest(100000, nullptr, &writer, &registry);
+
+  wire::BmpRouteMonitoring monitoring;
+  monitoring.peer.address = net::IpAddress::parse("192.0.2.9").value();
+  monitoring.peer.as = 65010;
+  monitoring.peer.timestamp_sec = 1000;
+  monitoring.update.nlri = {pfx("10.9.0.0/24")};
+  monitoring.update.path = bgp::AsPath{65010, 64500};
+  monitoring.update.next_hop = 1;
+  ingest.feed(wire::encode_bmp(monitoring), /*now=*/1500);
+  EXPECT_EQ(ingest.stats().updates_stored, 1u);
+  writer.close();
+
+  const auto records = query_records(dir);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].update.vp, 100000u);
+  EXPECT_EQ(records[0].update.time, 1000);
+  EXPECT_EQ(records[0].update.prefix, pfx("10.9.0.0/24"));
+  EXPECT_EQ(records[0].update.path, (bgp::AsPath{65010, 64500}));
+  EXPECT_FALSE(records[0].update.withdrawal);
+}
+
+// A BMP per-peer timestamp ahead of the feed clock is archived at the feed
+// clock: it must not open a far-future window that swallows every later
+// record and never seals. Here the timer seals the current window and
+// both the future-stamped record and a later session record are served.
+TEST(EndToEnd, FutureStampedBmpRecordDoesNotHoldBackTheTimer) {
+  const std::string dir = scratch_dir("bmp_future");
+  metrics::Registry registry;
+  SegmentWriterConfig config;
+  config.directory = dir;
+  config.rotate_secs = 900;
+  config.registry = &registry;
+  SegmentWriter writer(config);
+  ASSERT_TRUE(writer.open());
+  daemon::BmpIngest ingest(100000, nullptr, &writer, &registry);
+
+  wire::BmpRouteMonitoring monitoring;
+  monitoring.peer.address = net::IpAddress::parse("192.0.2.9").value();
+  monitoring.peer.as = 65010;
+  monitoring.peer.timestamp_sec = 0xFFFFFFFF;
+  monitoring.update.nlri = {pfx("10.9.0.0/24")};
+  monitoring.update.path = bgp::AsPath{65010, 64500};
+  monitoring.update.next_hop = 1;
+  ingest.feed(wire::encode_bmp(monitoring), /*now=*/1000);
+  writer.store(make_update(1, 1100, "10.1.0.0/24"));
+  writer.tick(1800);  // the window [900, 1800) is over
+
+  const auto records = query_records(dir);
+  ASSERT_EQ(records.size(), 2u) << "the timer sealed nothing";
+  EXPECT_EQ(records[0].update.vp, 100000u);
+  EXPECT_EQ(records[0].update.time, 1000);
+  EXPECT_EQ(records[1].update.vp, 1u);
+  EXPECT_EQ(records[1].update.time, 1100);
+  writer.close();
 }
 
 // ---------------------------------------------------------------------------
@@ -773,19 +913,18 @@ TEST(MixedVersions, V1AndV2SegmentsServeFromOneDirectory) {
   writer.store(make_update(2, 2100, "192.168.1.0/24"));
   writer.close();
 
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.open(dir));
-  ASSERT_EQ(reader.segments().size(), 2u);
-  EXPECT_EQ(reader.segments()[0].codec, kCodecNone);
-  EXPECT_TRUE(reader.segments()[0].bloom.empty());
-  EXPECT_FALSE(reader.segments()[1].bloom.empty());
+  const auto manifest = engine_manifest(dir);
+  ASSERT_EQ(manifest.size(), 2u);
+  EXPECT_EQ(manifest[0].codec, kCodecNone);
+  EXPECT_TRUE(manifest[0].bloom.empty());
+  EXPECT_FALSE(manifest[1].bloom.empty());
 
   // A prefix query crosses both: the v1 segment has no bloom and falls
   // back to scan-all (its matching record is found), the v2 segment is
   // answered through its bloom.
   QueryOptions options;
   options.prefix = pfx("10.0.0.0/8");
-  const auto records = reader.query_all(options);
+  const auto records = query_records(dir, options);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].update.prefix, pfx("10.0.0.0/24"));
   EXPECT_EQ(records[1].update.prefix, pfx("10.0.5.0/24"));
@@ -833,12 +972,7 @@ TEST(Compression, CompressedSealRoundTripsByteIdentically) {
 
   // The stream a reader serves is byte-identical to the raw append order —
   // compression is invisible to consumers.
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.open(dir));
-  QueryCursor cursor = reader.query({});
-  std::string streamed;
-  while (cursor.next_chunk(streamed)) {
-  }
+  const std::string streamed = query_bytes(dir);
   const std::vector<std::uint8_t> expected = encode(sent);
   ASSERT_EQ(streamed.size(), expected.size());
   EXPECT_EQ(0,
@@ -876,15 +1010,11 @@ TEST(Compression, TornTailRecoveryStillWorksWithCompressionOn) {
   ASSERT_TRUE(reopened.open());
   EXPECT_FALSE(fs::exists(fs::path(dir) / kActiveSegmentName));
 
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.open(dir));
-  ASSERT_EQ(reader.segments().size(), 2u);
-  EXPECT_EQ(reader.segments()[0].codec, kCodecZstd);   // sealed pre-crash
-  EXPECT_EQ(reader.segments()[1].codec, kCodecNone);   // recovery seals raw
-  QueryCursor cursor = reader.query({});
-  std::string streamed;
-  while (cursor.next_chunk(streamed)) {
-  }
+  const auto manifest = engine_manifest(dir);
+  ASSERT_EQ(manifest.size(), 2u);
+  EXPECT_EQ(manifest[0].codec, kCodecZstd);   // sealed pre-crash
+  EXPECT_EQ(manifest[1].codec, kCodecNone);   // recovery seals raw
+  const std::string streamed = query_bytes(dir);
   const std::vector<std::uint8_t> expected = encode(acknowledged);
   ASSERT_EQ(streamed.size(), expected.size());
   EXPECT_EQ(0,
@@ -965,9 +1095,7 @@ TEST(Retention, GcDeletesOldestFirstAndManifestStaysConsistent) {
   // The on-disk manifest and a fresh load agree with the pass's result.
   EXPECT_EQ(load_manifest(dir), result->remaining);
   // The survivor still serves.
-  ArchiveReader reader;
-  ASSERT_TRUE(reader.open(dir));
-  EXPECT_EQ(reader.query_all({}).size(), 1u);
+  EXPECT_EQ(query_records(dir).size(), 1u);
 }
 
 TEST(Retention, GcSparesPinnedSegmentsUntilUnpinned) {

@@ -70,7 +70,9 @@ TEST(Vetting, DomainParsing) {
 // ---------------------------------------------------------------------------
 
 TEST(Platform, PeersEstablishAndUpdatesAreStored) {
+  daemon::MrtStore archive;
   Platform platform;
+  platform.set_archive(&archive);
   const auto vp0 = platform.add_peer(65010, 0);
   const auto vp1 = platform.add_peer(65011, 0);
   platform.step(1);  // handshakes complete
@@ -84,7 +86,8 @@ TEST(Platform, PeersEstablishAndUpdatesAreStored) {
   update.path = bgp::AsPath{65010, 65020};
   platform.remote(vp0).send_update(update);
   platform.step(2);
-  EXPECT_EQ(platform.store().stored(), 1u);
+  EXPECT_EQ(archive.stored(), 1u);
+  EXPECT_EQ(platform.stored_updates(), 1u);
   EXPECT_EQ(platform.mirror().size(), 1u);
 }
 
@@ -120,7 +123,9 @@ TEST(Platform, RefreshInstallsFiltersAndDropsMirror) {
 }
 
 TEST(Platform, FiltersApplyToSubsequentTraffic) {
+  daemon::MrtStore archive;
   Platform platform;
+  platform.set_archive(&archive);
   const auto vp0 = platform.add_peer(65010, 0);
   const auto vp1 = platform.add_peer(65011, 0);
   platform.step(1);
@@ -138,13 +143,13 @@ TEST(Platform, FiltersApplyToSubsequentTraffic) {
                                      ? bgp::AsPath{65010, 65020}
                                      : bgp::AsPath{65010, 65021, 65020});
   }
-  const std::size_t stored_before = platform.store().stored();
+  const std::size_t stored_before = archive.stored();
   platform.refresh_filters();
 
   // After the refresh, redundant (vp, prefix) traffic is filtered out for
   // the non-anchor VP.
   send_round(20000, bgp::AsPath{65010, 65020});
-  const std::size_t stored_after = platform.store().stored();
+  const std::size_t stored_after = archive.stored();
   const std::size_t newly_stored = stored_after - stored_before;
   EXPECT_LT(newly_stored, 2u);  // at most the anchor's copy got stored
 }

@@ -566,8 +566,8 @@ TEST(BmpIngest, RouteMonitoringFlowsThroughFiltersToStore) {
       wire::encode_bmp(monitoring_for("10.0.0.0/24", {65010, 64500}, 1000));
   const auto kept =
       wire::encode_bmp(monitoring_for("10.0.1.0/24", {65010, 64500}, 1000));
-  ingest.feed(dropped, 5);
-  ingest.feed(kept, 5);
+  ingest.feed(dropped, 2000);
+  ingest.feed(kept, 2000);
 
   EXPECT_EQ(ingest.stats().messages, 2u);
   EXPECT_EQ(ingest.stats().route_monitoring, 2u);
@@ -583,6 +583,28 @@ TEST(BmpIngest, RouteMonitoringFlowsThroughFiltersToStore) {
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->update.time, 1000);
   EXPECT_EQ(record->update.vp, 7u);
+}
+
+TEST(BmpIngest, FutureTimestampFallsBackToTheFeedClock) {
+  MrtStore store;
+  BmpIngest ingest(7, nullptr, &store);
+  ingest.feed(
+      wire::encode_bmp(monitoring_for("10.0.1.0/24", {65010}, 0xFFFFFFFF)),
+      2000);
+  ingest.feed(wire::encode_bmp(monitoring_for("10.0.2.0/24", {65010}, 2001)),
+              2000);
+  ingest.feed(wire::encode_bmp(monitoring_for("10.0.3.0/24", {65010}, 0)),
+              2000);
+
+  // Neither a far-future nor a slightly-ahead stamp survives; a missing
+  // stamp (0) takes the feed clock too.
+  mrt::Reader reader(store.writer().buffer());
+  for (int i = 0; i < 3; ++i) {
+    const auto record = reader.next();
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->update.time, 2000);
+  }
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 TEST(BmpIngest, PartialAndGarbageBytes) {

@@ -142,7 +142,9 @@ TEST(Integration, VettingToPlatformToArchive) {
   ASSERT_EQ(vetting.confirm(t2, "noc@b.example"),
             collect::VettingOutcome::kAccepted);
 
+  daemon::MrtStore archive;
   collect::Platform platform;
+  platform.set_archive(&archive);
   std::vector<bgp::VpId> vps;
   for (const auto& peer : vetting.accepted()) {
     vps.push_back(platform.add_peer(peer.as, 0));
@@ -160,14 +162,14 @@ TEST(Integration, VettingToPlatformToArchive) {
     }
     platform.step(10 + round * 500);
   }
-  EXPECT_EQ(platform.store().stored(), 8u);
+  EXPECT_EQ(archive.stored(), 8u);
   platform.refresh_filters();
   EXPECT_GE(platform.filters().drop_rule_count() +
                 platform.filters().anchors().size(),
             1u);
 
   const std::string path = "/tmp/gill_integration_platform.mrt";
-  ASSERT_TRUE(platform.store().save(path));
+  ASSERT_TRUE(archive.save(path));
   const auto loaded = mrt::read_stream(path);
   std::remove(path.c_str());
   ASSERT_TRUE(loaded.has_value());

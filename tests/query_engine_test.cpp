@@ -1,10 +1,10 @@
 // The archive query engine (DESIGN.md §15): bloom-pruned parallel segment
-// scans merged back in manifest order (byte-identical to the serial reader
-// at every thread count, with and without compression), the hot-segment
-// LRU cache (hits require zero disk reads; eviction respects the byte
-// budget), cursor pinning against GC, and the churn soak — concurrent
-// clients racing rotation, sealing and retention with a quiesced
-// byte-identity check at the end.
+// scans merged back in manifest order (byte-identical to an unpruned oracle
+// written here, at every thread count, with and without compression), the
+// hot-segment LRU cache (hits require zero disk reads; eviction respects
+// the byte budget), cursor pinning against GC, and the churn soak —
+// concurrent clients racing rotation, sealing and retention with a
+// quiesced byte-identity check at the end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "archive/archive_reader.hpp"
 #include "archive/archive_writer.hpp"
 #include "archive/query_engine.hpp"
 #include "archive/retention.hpp"
@@ -79,13 +78,38 @@ std::vector<bgp::Update> build_store(const std::string& dir, bool compress,
   return sent;
 }
 
-/// The serial baseline: ArchiveReader's single-threaded cursor.
-std::string serial_bytes(const std::string& dir, const QueryOptions& options) {
-  ArchiveReader reader;
-  EXPECT_TRUE(reader.open(dir));
-  QueryCursor cursor = reader.query(options);
+/// The oracle's record filter, written independently of the engine's.
+bool oracle_keeps(const bgp::Update& update, const QueryOptions& options) {
+  const bool in_window =
+      options.start <= update.time && update.time < options.end;
+  const bool vp_ok = !options.vp.has_value() || update.vp == *options.vp;
+  const bool prefix_ok =
+      !options.prefix.has_value() || options.prefix->covers(update.prefix);
+  return in_window && vp_ok && prefix_ok;
+}
+
+/// The reference every engine configuration must match byte for byte: each
+/// manifest row's payload, loaded by SegmentCache::load_segment, walked
+/// record by record with mrt::Reader, the records oracle_keeps() selects
+/// concatenated verbatim. No pruning (so a bloom false negative shows up
+/// as a missing record), no pool, no cache.
+std::string oracle_bytes(const std::string& dir, const QueryOptions& options) {
   std::string out;
-  while (cursor.next_chunk(out)) {
+  for (const SegmentMeta& meta : load_manifest(dir)) {
+    const SegmentCache::Payload payload =
+        SegmentCache::load_segment(dir, meta);
+    EXPECT_NE(payload, nullptr) << meta.file;
+    if (payload == nullptr) continue;
+    const char* base = reinterpret_cast<const char*>(payload->data());
+    mrt::Reader reader{std::span<const std::uint8_t>(*payload)};
+    std::size_t begin = 0;
+    while (const auto record = reader.next()) {
+      if (oracle_keeps(record->update, options)) {
+        out.append(base + begin, reader.offset() - begin);
+      }
+      begin = reader.offset();
+    }
+    EXPECT_TRUE(reader.done() && reader.ok()) << meta.file;
   }
   return out;
 }
@@ -121,8 +145,8 @@ std::vector<QueryOptions> representative_queries() {
 }
 
 // ---------------------------------------------------------------------------
-// Byte identity: parallel merged output == serial output, at 1/2/4 threads,
-// compressed and raw, cache on and off.
+// Byte identity: the engine's output == the oracle's, at 1/2/4 threads,
+// compressed and raw, cache on and off, and inline.
 // ---------------------------------------------------------------------------
 
 TEST(QueryEngine, ParallelOutputMatchesSerialByteForByte) {
@@ -145,7 +169,7 @@ TEST(QueryEngine, ParallelOutputMatchesSerialByteForByte) {
       QueryEngine engine(config);
       ASSERT_TRUE(engine.open());
       for (const auto& options : representative_queries()) {
-        const std::string expected = serial_bytes(dir, options);
+        const std::string expected = oracle_bytes(dir, options);
         EXPECT_EQ(engine_bytes(engine, options), expected)
             << "threads=" << threads << " compress=" << compress;
         // Hot path (cache populated) must not change the bytes either.
@@ -160,7 +184,7 @@ TEST(QueryEngine, ParallelOutputMatchesSerialByteForByte) {
     QueryEngine engine(config);
     ASSERT_TRUE(engine.open());
     for (const auto& options : representative_queries()) {
-      EXPECT_EQ(engine_bytes(engine, options), serial_bytes(dir, options));
+      EXPECT_EQ(engine_bytes(engine, options), oracle_bytes(dir, options));
     }
   }
 }
@@ -184,7 +208,7 @@ TEST(QueryEngine, BloomPrunesSegmentsOnPrefixQueries) {
   std::string out;
   while (cursor->next_chunk(out)) {
   }
-  EXPECT_EQ(out, serial_bytes(dir, options));
+  EXPECT_EQ(out, oracle_bytes(dir, options));
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +289,7 @@ TEST(QueryEngine, LruEvictionKeepsCacheUnderItsByteBudget) {
 TEST(QueryEngine, GcNeverDeletesPinnedSegments) {
   const std::string dir = scratch_dir("pins");
   build_store(dir, false, /*windows=*/4);
-  const std::string expected = serial_bytes(dir, {});
+  const std::string expected = oracle_bytes(dir, {});
 
   metrics::Registry registry;
   SegmentPins pins;
@@ -304,7 +328,7 @@ TEST(QueryEngine, GcNeverDeletesPinnedSegments) {
 // ---------------------------------------------------------------------------
 // Churn soak: concurrent clients query while the writer rotates/seals and
 // retention deletes — no vanished segments, every response parses, and the
-// quiesced store is byte-identical between engine and serial reader.
+// quiesced store is byte-identical between the engine and the oracle.
 // ---------------------------------------------------------------------------
 
 TEST(QueryEngine, QueriesUnderRotationSealingAndGcChurn) {
@@ -408,8 +432,8 @@ TEST(QueryEngine, QueriesUnderRotationSealingAndGcChurn) {
   });
 
   // Quiesced: seal the tail, drain I/O (close() waits out every queued
-  // seal and retention job), refresh — the parallel engine and the serial
-  // reader must now agree byte for byte.
+  // seal and retention job), refresh — the parallel engine and the oracle
+  // must now agree byte for byte.
   writer.close();
   EXPECT_FALSE(writer.failed());
   EXPECT_GT(writer.segments_sealed(), 10u);
@@ -418,7 +442,7 @@ TEST(QueryEngine, QueriesUnderRotationSealingAndGcChurn) {
   ASSERT_TRUE(engine.refresh());
   EXPECT_EQ(pins.pinned_count(), 0u);
   for (const auto& options : representative_queries()) {
-    EXPECT_EQ(engine_bytes(engine, options), serial_bytes(dir, options));
+    EXPECT_EQ(engine_bytes(engine, options), oracle_bytes(dir, options));
   }
 }
 

@@ -273,7 +273,9 @@ TEST(Chaos, PlatformSurvivesFaultyPeersFor10kSeconds) {
   config.health.flap_threshold = 6;
   config.health.flap_window = 600;
   config.health.quarantine_duration = 300;
+  daemon::MrtStore archive;
   Platform platform(config);
+  platform.set_archive(&archive);
 
   FaultProfile profile;
   profile.corrupt_rate = 0.01;
@@ -355,12 +357,12 @@ TEST(Chaos, PlatformSurvivesFaultyPeersFor10kSeconds) {
             platform.metrics().counter_total("gill_daemon_reconnects_total"));
 
   // The MRT archive survived the chaos: every record decodes back.
-  EXPECT_GT(platform.store().stored(), 0u);
-  mrt::Reader reader(platform.store().writer().buffer());
+  EXPECT_GT(archive.stored(), 0u);
+  mrt::Reader reader(archive.writer().buffer());
   std::size_t records = 0;
   while (reader.next()) ++records;
   EXPECT_TRUE(reader.ok());
-  EXPECT_EQ(records, platform.store().stored());
+  EXPECT_EQ(records, archive.stored());
 }
 
 }  // namespace

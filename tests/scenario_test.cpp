@@ -2,26 +2,35 @@
 // long-memory pacing model, the leak/hijack scenario builders, the verdict
 // scorer, the deterministic in-memory loop — and the real thing: a forked
 // gill-scenariod driving a forked gill-collectord over shaped loopback TCP
-// end to end (`ctest -L scenario`, scaled by tools/soak.sh under
-// sanitizers).
+// end to end, and a forked gill-collectord archiving a BMP feed
+// (`ctest -L scenario`, scaled by tools/soak.sh under sanitizers).
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/collectord_process.hpp"
 #include "harness/driver.hpp"
+#include "harness/http_client.hpp"
 #include "harness/interarrival.hpp"
 #include "harness/link_model.hpp"
 #include "harness/scenario.hpp"
 #include "harness/verdict.hpp"
+#include "mrt/mrt.hpp"
 #include "simulator/internet.hpp"
 #include "topology/generator.hpp"
+#include "wire/bmp.hpp"
 
 namespace {
 
@@ -337,6 +346,57 @@ TEST(ClosedLoop, ScenariodDrivesARealCollectordOverShapedTcp) {
             std::string::npos);
   EXPECT_EQ(verdict.find("\"detected\":false"), std::string::npos) << verdict;
   std::remove(verdict_path.c_str());
+}
+
+// A BMP feed reaches the real collector's segment store, and the writer's
+// timer seals the window with no later record to trigger it: the feed's
+// one announcement is served by /v1/data while the collector keeps running.
+TEST(ClosedLoop, CollectordArchivesABmpFeedAndSealsItOnTheTimer) {
+  const std::uint16_t bmp_port = harness::pick_free_port();
+  ASSERT_NE(bmp_port, 0);
+  harness::CollectordProcess collectord;
+  ASSERT_TRUE(collectord.start(
+      GILL_COLLECTORD_PATH,
+      {"--bmp-port", std::to_string(bmp_port), "--duration", "60"}))
+      << "collector never served /v1/healthz";
+
+  wire::BmpRouteMonitoring monitoring;
+  monitoring.peer.address = net::IpAddress::parse("192.0.2.9").value();
+  monitoring.peer.as = 65010;
+  monitoring.peer.timestamp_sec =
+      static_cast<std::uint32_t>(std::time(nullptr));
+  monitoring.update.nlri = {net::Prefix::parse("10.77.0.0/24").value()};
+  monitoring.update.path = bgp::AsPath{65010, 64500};
+  monitoring.update.next_hop = 1;
+  const std::vector<std::uint8_t> bytes = wire::encode_bmp(monitoring);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(bmp_port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const bool sent =
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(bytes.size());
+  EXPECT_TRUE(sent);
+  // Rotation is 1 s: the window seals from the timer within ~2 s.
+  std::string body;
+  for (int i = 0; i < 100 && sent && body.empty(); ++i) {
+    ::usleep(100 * 1000);
+    const auto data = harness::http_get("127.0.0.1", collectord.http_port,
+                                        "/v1/data", 1000);
+    if (data && data->status == 200) body = data->body;
+  }
+  ::close(fd);
+  collectord.stop();
+
+  mrt::Reader reader(std::span(
+      reinterpret_cast<const std::uint8_t*>(body.data()), body.size()));
+  const auto record = reader.next();
+  ASSERT_TRUE(record.has_value()) << "no archived record served";
+  EXPECT_EQ(record->update.prefix, net::Prefix::parse("10.77.0.0/24").value());
+  EXPECT_EQ(record->update.path, (bgp::AsPath{65010, 64500}));
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 // gill-simulate's status code is part of the harness contract: nonsense

@@ -465,7 +465,7 @@ TEST(MergePlane, SessionsKeepFlowingWhileARefreshIsInFlight) {
   EXPECT_EQ(platform.filter_generation(), 0u) << "nothing installed yet";
 
   // The shards keep serving sessions: a second window reaches the RIBs,
-  // the store and the mirror while the job waits.
+  // the stored-update counts and the mirror while the job waits.
   send_window(15, 11u << 24);
   EXPECT_EQ(platform.merged_rib_dump(kNow).size(), 50u);
   EXPECT_EQ(mirrored_across_shards(platform), 30u)

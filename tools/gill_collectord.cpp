@@ -24,12 +24,14 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <ctime>
 #include <map>
 #include <memory>
 
 #include "archive/archive_writer.hpp"
 #include "archive/query_engine.hpp"
 #include "cli_util.hpp"
+#include "collector/archive_routes.hpp"
 #include "collector/platform.hpp"
 #include "collector/sharded.hpp"
 #include "daemon/bmp_ingest.hpp"
@@ -61,7 +63,6 @@ constexpr const char* kUsage =
     "  --rib-dump-interval N  per-session RIB snapshot period, seconds (default off)\n"
     "  --analysis-threads N   worker pool for filter refreshes: -1 auto,\n"
     "                         0 synchronous on the control loop (default -1)\n"
-    "  --archive PATH         save the in-memory MRT archive to PATH on shutdown\n"
     "  --archive-dir DIR      rotated on-disk segment store; serves GET /v1/data\n"
     "                         and GET /v1/segments on the HTTP port\n"
     "  --rotate-secs N        segment rotation boundary (default 900)\n"
@@ -169,7 +170,17 @@ int main(int argc, char** argv) {
         std::make_unique<par::ThreadPool>(analysis_pool_threads, &registry);
   }
 
+  // Wall-clock seconds, the collector's one clock: sessions stamp their
+  // updates with it, BMP feeds clamp their per-peer times to it, and the
+  // archive rotates and ages segments by it. Rotation and retention
+  // compare it with record times, so they must share the sessions' time
+  // base — a loop-relative clock would never seal an idle window.
+  const auto now_seconds = [] {
+    return static_cast<bgp::Timestamp>(std::time(nullptr));
+  };
+
   collect::ShardedPlatformConfig config;
+  config.clock = now_seconds;
   config.shards = ingest_shards < 0
                       ? par::auto_thread_count()
                       : static_cast<std::size_t>(
@@ -207,9 +218,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[collectord] vp%u peering from %s (shard %zu)\n",
                  vp, peer_ip.c_str(), shard);
   };
-  // The per-session snapshot interval: --snapshot-secs routes RIB dumps
-  // into the segment store, --rib-dump-interval is the historical flag for
-  // the in-memory store; both feed the same daemon machinery.
+  // The per-session snapshot interval: --snapshot-secs and the historical
+  // --rib-dump-interval feed the same daemon machinery, and the snapshots
+  // land in the segment store (--archive-dir).
   const long effective_rib_interval =
       snapshot_secs > 0 ? snapshot_secs : rib_dump_interval;
   if (effective_rib_interval > 0) {
@@ -293,10 +304,6 @@ int main(int argc, char** argv) {
     platform.set_archive(archive_sink.get());
   }
 
-  const auto now_seconds = [&loop] {
-    return static_cast<bgp::Timestamp>(loop.now_ms() / 1000);
-  };
-
   // One SO_REUSEPORT listener per shard (the kernel spreads the sessions).
   // Admission (peer cap, accept governor) is global.
   if (!platform.listen(bind_ip, listen_port)) {
@@ -338,8 +345,10 @@ int main(int argc, char** argv) {
     const bool bmp_ok = bmp_listener.listen(
         bind_ip, static_cast<std::uint16_t>(bmp_port),
         [&](int fd, std::string peer_ip, std::uint16_t) {
+          // Kept BMP updates go to the same archive as the BGP sessions'.
           auto ingest = std::make_unique<daemon::BmpIngest>(
-              next_bmp_vp++, &platform.filters(), nullptr, &registry);
+              next_bmp_vp++, &platform.filters(), archive_sink.get(),
+              &registry);
           auto* raw = ingest.get();
           raw->set_mirror([&live_stream](const bgp::Update& update) {
             if (live_stream != nullptr) live_stream->publish(update);
@@ -381,61 +390,11 @@ int main(int argc, char** argv) {
     return response;
   });
   if (archive_engine) {
-    // Data-retrieval plane: /v1/data streams framed MRT chunked with
-    // bounded memory through the shared query engine — bloom-pruned,
-    // scanned in parallel, served from the hot-segment cache, and the
-    // cursor pins its snapshot so retention never deletes under it.
-    // /v1/segments lists the manifest from the same snapshot.
-    auto* engine = archive_engine.get();
-    http.route("/v1/data", [engine](const net::HttpRequest& request) {
-      archive::QueryOptions options;
-      std::uint64_t value = 0;
-      if (const auto* start = request.get("start")) {
-        if (!net::parse_u64(*start, &value)) {
-          return net::error_response(400, "bad_param",
-                                     "bad start '" + *start +
-                                         "': want a decimal timestamp");
-        }
-        options.start = static_cast<bgp::Timestamp>(value);
-      }
-      if (const auto* end = request.get("end")) {
-        if (!net::parse_u64(*end, &value)) {
-          return net::error_response(400, "bad_param",
-                                     "bad end '" + *end +
-                                         "': want a decimal timestamp");
-        }
-        options.end = static_cast<bgp::Timestamp>(value);
-      }
-      if (const auto* vp = request.get("vp")) {
-        if (!net::parse_u64(*vp, &value) || value > UINT32_MAX) {
-          return net::error_response(
-              400, "bad_param", "bad vp '" + *vp + "': want a decimal VP id");
-        }
-        options.vp = static_cast<bgp::VpId>(value);
-      }
-      if (const auto* prefix = request.get("prefix")) {
-        const auto parsed = gill::net::Prefix::parse(*prefix);
-        if (!parsed) {
-          return net::error_response(400, "bad_param",
-                                     "bad prefix '" + *prefix +
-                                         "': want CIDR like 10.0.0.0/8");
-        }
-        options.prefix = *parsed;
-      }
-      auto cursor = engine->query(options);
-      net::HttpResponse response;
-      response.content_type = "application/octet-stream";
-      response.producer = [cursor](std::string& out) {
-        return cursor->next_chunk(out);
-      };
-      return response;
-    });
-    http.route("/v1/segments", [engine](const net::HttpRequest&) {
-      net::HttpResponse response;
-      response.content_type = "application/json";
-      response.body = engine->segments_json();
-      return response;
-    });
+    // Data-retrieval plane: /v1/data streams framed MRT through the shared
+    // query engine — bloom-pruned, scanned in parallel, served from the
+    // hot-segment cache, and the cursor pins its snapshot so retention
+    // never deletes under it. /v1/segments lists the same snapshot.
+    collect::route_archive(http, *archive_engine);
   }
 
   // The live distribution plane (GET /v1/stream): every accepted update —
@@ -527,16 +486,6 @@ int main(int argc, char** argv) {
                "%zu updates stored\n",
                platform.peer_count(), bmp_streams.size(),
                platform.stored_updates());
-  const std::string archive = args.get("archive", "");
-  if (!archive.empty()) {
-    if (platform.save_archive(archive)) {
-      std::fprintf(stderr, "[collectord] archive saved to %s\n",
-                   archive.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot save archive to %s\n",
-                   archive.c_str());
-    }
-  }
   // Drain every asynchronous producer BEFORE the final metrics dump: the
   // archive writer's in-flight disk jobs and any merged filter refresh
   // still on the analysis pool would otherwise mutate counters after (or

@@ -14,23 +14,14 @@
 // logical clock instead — fully deterministic under --seed (the
 // determinism tests compare --archive-out bytes across runs and across
 // --analysis-threads settings).
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "cli_util.hpp"
+#include "harness/collectord_process.hpp"
 #include "harness/driver.hpp"
-#include "harness/http_client.hpp"
 #include "harness/scenario.hpp"
 
 namespace {
@@ -63,90 +54,6 @@ constexpr const char* kUsage =
     "  --settle-ms N          post-replay drain (default 2500)\n"
     "  --timeout-ms N         per-scenario watchdog (default 60000)\n"
     "  --verdict PATH         write the JSON verdict here (default stdout)\n";
-
-/// Binds an ephemeral loopback port, records it, releases it. Racy by
-/// nature, fine for a test harness.
-std::uint16_t pick_free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return 0;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  std::uint16_t port = 0;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    socklen_t len = sizeof(addr);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-      port = ntohs(addr.sin_port);
-    }
-  }
-  ::close(fd);
-  return port;
-}
-
-struct Collectord {
-  pid_t pid = -1;
-  std::uint16_t bgp_port = 0;
-  std::uint16_t http_port = 0;
-  std::string archive_dir;
-
-  ~Collectord() { stop(); }
-
-  bool start(const std::string& binary, long ingest_shards) {
-    bgp_port = pick_free_port();
-    http_port = pick_free_port();
-    if (bgp_port == 0 || http_port == 0 || bgp_port == http_port) {
-      return false;
-    }
-    char dir_template[] = "/tmp/gill-scenario-XXXXXX";
-    if (::mkdtemp(dir_template) == nullptr) return false;
-    archive_dir = dir_template;
-    const std::string bgp = std::to_string(bgp_port);
-    const std::string http = std::to_string(http_port);
-    const std::string shards = std::to_string(ingest_shards);
-    pid = ::fork();
-    if (pid < 0) return false;
-    if (pid == 0) {
-      ::execl(binary.c_str(), binary.c_str(), "--bind", "127.0.0.1",
-              "--listen-port", bgp.c_str(), "--http-port", http.c_str(),
-              "--archive-dir", archive_dir.c_str(), "--rotate-secs", "1",
-              "--tick-ms", "20", "--ingest-shards", shards.c_str(),
-              static_cast<char*>(nullptr));
-      std::fprintf(stderr, "scenariod: exec %s failed: %s\n", binary.c_str(),
-                   std::strerror(errno));
-      ::_exit(127);
-    }
-    // Wait for the operator plane to come up.
-    for (int i = 0; i < 200; ++i) {
-      const auto health =
-          gill::harness::http_get("127.0.0.1", http_port, "/v1/healthz", 250);
-      if (health && health->status == 200) return true;
-      int status = 0;
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        pid = -1;
-        return false;  // child died during startup
-      }
-      ::usleep(50 * 1000);
-    }
-    return false;
-  }
-
-  void stop() {
-    if (pid <= 0) return;
-    ::kill(pid, SIGTERM);
-    int status = 0;
-    for (int i = 0; i < 100; ++i) {
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        pid = -1;
-        return;
-      }
-      ::usleep(50 * 1000);
-    }
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, &status, 0);
-    pid = -1;
-  }
-};
 
 bool write_file(const std::string& path, const void* data, std::size_t size) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
@@ -216,11 +123,12 @@ int main(int argc, char** argv) {
     config.kind = kinds[i];
     config.seed = base.seed + i;  // decorrelate shaping/pacing across runs
 
-    Collectord child;
+    harness::CollectordProcess child;
     harness::DriverConfig run_config = driver_config;
     if (!in_memory) {
       if (!collectord_path.empty()) {
-        if (!child.start(collectord_path, ingest_shards)) {
+        if (!child.start(collectord_path,
+                         {"--ingest-shards", std::to_string(ingest_shards)})) {
           std::fprintf(stderr, "scenariod: cannot start %s\n",
                        collectord_path.c_str());
           return 1;

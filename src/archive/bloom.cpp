@@ -44,6 +44,7 @@ constexpr int hex_digit(char c) noexcept {
 
 void PrefixBloom::observe(const net::Prefix& prefix) {
   if (!bits_.empty()) return;  // frozen
+  if (!observed_.insert(prefix).second) return;  // its ancestors are in
   // The prefix plus all of its ancestors: a query for any covering prefix
   // finds its own key in the set.
   for (unsigned length = 0; length <= prefix.length(); ++length) {
@@ -52,6 +53,7 @@ void PrefixBloom::observe(const net::Prefix& prefix) {
 }
 
 void PrefixBloom::finalize(double bits_per_key, std::uint32_t hashes) {
+  observed_ = {};
   if (!bits_.empty() || keys_.empty()) {
     keys_.clear();
     return;

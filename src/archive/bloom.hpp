@@ -40,7 +40,8 @@ class PrefixBloom {
   static constexpr std::uint64_t kMaxBits = 8ull * 1024 * 1024;
 
   /// Build phase: folds one record prefix in (the prefix and every one of
-  /// its ancestors). No-op after finalize().
+  /// its ancestors). A prefix seen before adds no key and returns at once,
+  /// so a segment's repeats cost one set lookup. No-op after finalize().
   void observe(const net::Prefix& prefix);
 
   /// Freezes the key set into the bit array and releases the keys.
@@ -87,6 +88,9 @@ class PrefixBloom {
   bool probe(std::uint64_t key) const noexcept;
 
   std::unordered_set<std::uint64_t> keys_;  // build phase only
+  /// Record prefixes already folded in (build phase only). Exact prefixes,
+  /// not their 64-bit keys: a key collision must never skip an ancestor.
+  std::unordered_set<net::Prefix, net::PrefixHash> observed_;
   std::uint32_t hashes_ = 0;
   std::vector<std::uint8_t> bits_;
 };

@@ -177,6 +177,21 @@ void Platform::step(Timestamp now) {
   }
 }
 
+void Platform::poll_peer(VpId vp, Timestamp now) {
+  const auto it = peers_.find(vp);
+  if (it == peers_.end()) return;
+  Peer& peer = it->second;
+  // Frozen peers stay frozen: their bytes wait in the transport queue,
+  // whose watermark then pauses the socket. A quarantine is released by
+  // step(), never here.
+  if (peer.health.status == PeerStatus::kShed ||
+      peer.health.status == PeerStatus::kQuarantined) {
+    return;
+  }
+  peer.daemon->poll(now);
+  observe_health(peer, now);
+}
+
 void Platform::update_overload(Timestamp now) {
   (void)now;
   const auto& policy = config_.overload;

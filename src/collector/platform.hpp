@@ -241,6 +241,13 @@ class Platform {
   /// and applies the quarantine and overload policies.
   void step(Timestamp now);
 
+  /// Decodes what one session's transport has delivered, the part of
+  /// step() that reads: the same BgpDaemon::poll, with shed and
+  /// quarantined peers left frozen exactly as step() leaves them. A
+  /// transport's inbound hook calls it so updates are decoded as they
+  /// arrive; timers stay on step(). Unknown VPs are ignored.
+  void poll_peer(VpId vp, Timestamp now);
+
   /// One synchronous refresh over this platform's own mirror: harvests the
   /// mirror (the window restarts empty) and the quarantine roster, runs
   /// compute_refresh() on the calling thread (its parallel stages on

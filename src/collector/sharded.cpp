@@ -117,9 +117,20 @@ void ShardedPlatform::accept_session(std::size_t shard, int fd,
   if (config_.rib_dump_interval > 0) {
     state.platform->daemon_mut(vp).enable_rib_dumps(config_.rib_dump_interval);
   }
-  state.transports[vp] = raw;
+  watch_inbound(shard, vp, *raw);
   total_peers_.fetch_add(1, std::memory_order_relaxed);
   if (config_.on_session) config_.on_session(shard, vp, peer_ip);
+}
+
+void ShardedPlatform::watch_inbound(std::size_t shard, VpId vp,
+                                    net::TcpTransport& transport) {
+  ShardState& state = *states_[shard];
+  state.transports[vp] = &transport;
+  // Decode on arrival: the readable event that queued the bytes polls the
+  // session, on this shard's thread. The tick keeps only the timers.
+  Platform* platform = state.platform.get();
+  transport.set_on_inbound(
+      [this, platform, vp] { platform->poll_peer(vp, now()); });
 }
 
 bool ShardedPlatform::dial(const std::string& host, std::uint16_t port,
@@ -140,7 +151,7 @@ bool ShardedPlatform::dial(const std::string& host, std::uint16_t port,
       state.platform->daemon_mut(vp).enable_rib_dumps(
           config_.rib_dump_interval);
     }
-    state.transports[vp] = raw;
+    watch_inbound(shard, vp, *raw);
     total_peers_.fetch_add(1, std::memory_order_relaxed);
     return true;
   });
@@ -154,8 +165,7 @@ void ShardedPlatform::set_archive(mrt::Sink* sink) {
   }
 }
 
-void ShardedPlatform::set_stream_publisher(
-    std::function<void(const bgp::Update&)> publisher) {
+void ShardedPlatform::set_stream_publisher(StreamPublisher publisher) {
   publisher_ = std::move(publisher);
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     shards_.call(shard, [this, shard] {
@@ -191,7 +201,6 @@ void ShardedPlatform::step_shard(std::size_t shard) {
 
 void ShardedPlatform::control_tick(Timestamp now) {
   rss_bytes_.store(rss_probe_(), std::memory_order_relaxed);
-  drain_stream();
   poll_refresh();
   if (!last_refresh_) last_refresh_ = now;  // the first period starts here
   if (config_.component1_refresh == 0 || refresh_in_flight() ||
@@ -218,7 +227,8 @@ void ShardedPlatform::drain_stream() {
       const std::lock_guard<std::mutex> lock(state->outbox_mutex);
       batch.swap(state->outbox);
     }
-    for (const auto& update : batch) publisher_(update);
+    if (batch.empty()) continue;
+    publisher_(batch);  // the shard's whole outbox: one flush per batch
     stream_drained_.inc(batch.size());
     batch.clear();
   }

@@ -40,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -129,15 +130,20 @@ class ShardedPlatform {
   /// written from N shard threads — wrap it in a LockedSink (or pass
   /// something inherently thread-safe).
   void set_archive(mrt::Sink* sink);
-  /// Live-stream tap: updates are collected into per-shard outboxes on
-  /// the hot path and fanned out to `publisher` on the CONTROL thread by
-  /// control_tick()/drain_stream() — StreamHub and friends stay
-  /// single-threaded. Per-VP order is preserved; cross-VP interleaving
-  /// follows harvest order.
-  void set_stream_publisher(std::function<void(const bgp::Update&)> publisher);
+  /// Takes one batch of updates, in arrival order (StreamHub::publish).
+  using StreamPublisher = std::function<void(std::span<const bgp::Update>)>;
+  /// Live-stream tap: a shard decodes a session's bytes as they arrive and
+  /// appends each accepted update to its outbox; drain_stream() hands
+  /// every shard's outbox to `publisher` whole, on the CONTROL thread, so
+  /// StreamHub and friends stay single-threaded and a subscriber is
+  /// flushed once per batch. Per-VP order is preserved; cross-VP
+  /// interleaving follows harvest order. nullptr detaches.
+  void set_stream_publisher(StreamPublisher publisher);
 
-  /// Starts the shard threads; each loop ticks its own sessions every
-  /// `tick_ms` (daemon polls, hold timers, transport sync).
+  /// Starts the shard threads. Each session's bytes are decoded in the
+  /// readable event that read them; each loop ticks its own sessions
+  /// every `tick_ms` for the timers only (hold, keepalive, graceful
+  /// restart, RIB dumps, transport sync).
   void start(std::uint64_t tick_ms = 200);
   /// Stops and joins the fleet. Idempotent; also runs from the destructor.
   void stop();
@@ -148,13 +154,15 @@ class ShardedPlatform {
 
   // --- control plane (call from ONE control thread only) -------------------
   /// The per-tick control work: samples the memory probe into the shared
-  /// watermark reading, drains the stream outboxes, installs a completed
-  /// refresh job, and triggers the periodic refresh when due. A due
-  /// refresh is deferred while any shard is degraded and runs at the first
-  /// tick after memory recovers (DESIGN.md §11).
+  /// watermark reading, installs a completed refresh job, and triggers the
+  /// periodic refresh when due. A due refresh is deferred while any shard
+  /// is degraded and runs at the first tick after memory recovers
+  /// (DESIGN.md §11). It does not touch the stream: see drain_stream().
   void control_tick(Timestamp now);
-  /// Fans queued stream updates out to the publisher (subset of
-  /// control_tick for callers with their own cadence).
+  /// Hands each shard's stream outbox, swapped out whole, to the publisher
+  /// as one batch. The stream's only hand-off: gill-collectord calls it
+  /// after every pass of its control loop (at most one 10 ms wheel step
+  /// apart), so delivery waits for no tick and adds no wakeups.
   void drain_stream();
 
   std::size_t peer_count() const;
@@ -214,13 +222,16 @@ class ShardedPlatform {
     /// TcpTransport view of the platform-owned transports (per-tick sync).
     std::map<VpId, net::TcpTransport*> transports;
     /// Stream outbox: filled on the shard thread, drained by the control
-    /// thread (the one lock on the mirror path; uncontended between ticks).
+    /// thread (the one lock on the mirror path; held for a push or a swap).
     std::mutex outbox_mutex;
     std::vector<bgp::Update> outbox;
   };
 
   /// Runs on the owning shard's thread (ShardedListener contract).
   void accept_session(std::size_t shard, int fd, const std::string& peer_ip);
+  /// Registers a session's transport for the per-tick sync and sets its
+  /// inbound hook to Platform::poll_peer (shard thread).
+  void watch_inbound(std::size_t shard, VpId vp, net::TcpTransport& transport);
   /// One shard's tick body (shard thread): step the platform, sync sockets.
   void step_shard(std::size_t shard);
   Timestamp now() const { return clock_(); }
@@ -236,7 +247,7 @@ class ShardedPlatform {
   net::ShardedListener listener_;
   std::unique_ptr<net::SharedAcceptGovernor> governor_;
   std::vector<std::unique_ptr<ShardState>> states_;
-  std::function<void(const bgp::Update&)> publisher_;
+  StreamPublisher publisher_;
   mrt::Sink* archive_ = nullptr;
 
   std::atomic<VpId> next_vp_{0};

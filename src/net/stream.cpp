@@ -175,7 +175,21 @@ HttpResponse StreamHub::subscribe(const HttpRequest& request) {
 }
 
 void StreamHub::publish(const bgp::Update& update) {
+  publish(std::span(&update, 1));
+}
+
+void StreamHub::publish(std::span<const bgp::Update> batch) {
   if (subscribers_.empty()) return;
+  bool expired = false;
+  for (const auto& update : batch) expired |= fan_out(update);
+  for (const auto& weak : subscribers_) {
+    const auto subscriber = weak.lock();
+    if (subscriber && subscriber->unflushed_bytes > 0) flush(*subscriber);
+  }
+  if (expired) prune_expired();
+}
+
+bool StreamHub::fan_out(const bgp::Update& update) {
   // Encode lazily, at most once per format — fanning one update out to a
   // thousand subscribers is a thousand byte appends, not a thousand
   // encodings.
@@ -197,6 +211,9 @@ void StreamHub::publish(const bgp::Update& update) {
   const std::size_t low = config_.queue_low_bytes > 0
                               ? config_.queue_low_bytes
                               : config_.queue_high_bytes / 2;
+  // Mid-batch flush point: a chunk's worth, but never past the low
+  // watermark, so a subscriber whose socket keeps up never trims.
+  const std::size_t flush_at = std::min(kMaxChunkBytes, low);
   bool expired = false;
   for (const auto& weak : subscribers_) {
     const auto subscriber = weak.lock();
@@ -238,9 +255,15 @@ void StreamHub::publish(const bgp::Update& update) {
         std::max(max_subscriber_queue_bytes_, subscriber->queue.size());
     fanout_msgs_.inc();
     subscriber->drops_in_a_row = 0;
-    http_->wake(subscriber->stream_id);
+    subscriber->unflushed_bytes += payload.size();
+    if (subscriber->unflushed_bytes >= flush_at) flush(*subscriber);
   }
-  if (expired) prune_expired();
+  return expired;
+}
+
+void StreamHub::flush(Subscriber& subscriber) {
+  subscriber.unflushed_bytes = 0;
+  http_->wake(subscriber.stream_id);
 }
 
 std::size_t StreamHub::subscriber_count() const {

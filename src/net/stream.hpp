@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <regex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,9 +87,16 @@ class StreamHub {
   /// assert the duplicate-rejection contract).
   bool register_routes();
 
-  /// Fans one accepted update out to every matching subscriber. Encodes at
-  /// most once per format, regardless of subscriber count.
+  /// Fans one accepted update out to every matching subscriber and flushes
+  /// them at once. Encodes at most once per format, regardless of
+  /// subscriber count.
   void publish(const bgp::Update& update);
+  /// Fans a batch out in order, encoding each update at most once per
+  /// format. Each subscriber that received bytes is flushed once, at the
+  /// end of the batch, or earlier whenever a chunk's worth has queued up
+  /// since its last flush, so a batch larger than the queue watermark
+  /// never trims a subscriber that keeps reading.
+  void publish(std::span<const bgp::Update> batch);
 
   std::size_t subscriber_count() const;
   /// Bytes currently queued across all subscribers.
@@ -116,11 +124,16 @@ class StreamHub {
     bool trimming = false;  // above high watermark: new messages dropped
     bool evicted = false;   // producer ends the stream on next pull
     std::size_t drops_in_a_row = 0;
+    std::size_t unflushed_bytes = 0;  // queued since the last flush
     metrics::Gauge& subscribers_gauge;
     metrics::Gauge& queue_bytes_gauge;
   };
 
   HttpResponse subscribe(const HttpRequest& request);
+  /// Enqueues one update to every matching subscriber (trim/evict rules
+  /// applied). Returns true when a subscriber expired or was evicted.
+  bool fan_out(const bgp::Update& update);
+  void flush(Subscriber& subscriber);
   void prune_expired();
 
   HttpEndpoint* http_;

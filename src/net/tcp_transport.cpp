@@ -173,7 +173,18 @@ void TcpTransport::on_event(std::uint32_t events) {
     }
     flush_outbound();
   }
-  if ((events & kReadable) && fd_ >= 0) drain_socket();
+  if ((events & kReadable) && fd_ >= 0 && drain_socket() > 0) {
+    consume_inbound();
+  }
+}
+
+void TcpTransport::consume_inbound() {
+  if (!on_inbound_) return;
+  on_inbound_();
+  // The hook consumed the queue: a read paused at the watermark resumes
+  // now rather than at the next sync(). The drain is left to the loop's
+  // re-report so one busy session cannot starve the others.
+  if (can_resume_reads()) resume_reads();
 }
 
 void TcpTransport::set_ingest_limits(const IngestLimits& limits) {
@@ -196,31 +207,42 @@ bool TcpTransport::maybe_pause_reads(std::size_t chunk) {
   return true;
 }
 
-void TcpTransport::maybe_resume_reads() {
-  if (!reads_paused_ || fd_ < 0) return;
-  if (ingest_bucket_.in_debt(loop_->now_ms())) return;
+bool TcpTransport::can_resume_reads() {
+  if (!reads_paused_ || fd_ < 0) return false;
+  if (ingest_bucket_.in_debt(loop_->now_ms())) return false;
   if (limits_.queue_high_watermark > 0) {
     const std::size_t low = limits_.queue_low_watermark > 0
                                 ? limits_.queue_low_watermark
                                 : limits_.queue_high_watermark / 4;
-    if (inbound().size() > low) return;
+    if (inbound().size() > low) return false;
   }
+  return true;
+}
+
+void TcpTransport::resume_reads() {
   reads_paused_ = false;
   loop_->modify(fd_, kReadable | (want_write_ ? kWritable : 0));
   read_resumes_.inc();
   paused_sessions_.sub(1);
-  // EPOLL_CTL_MOD re-reports a still-readable fd under EPOLLET, but drain
-  // now so the resume does not depend on that edge.
-  drain_socket();
 }
 
-void TcpTransport::drain_socket() {
+void TcpTransport::maybe_resume_reads() {
+  if (!can_resume_reads()) return;
+  resume_reads();
+  // EPOLL_CTL_MOD re-reports a still-readable fd under EPOLLET, but drain
+  // now so the resume does not depend on that edge.
+  if (drain_socket() > 0) consume_inbound();
+}
+
+std::size_t TcpTransport::drain_socket() {
   std::uint8_t buffer[16384];
+  std::size_t delivered = 0;
   while (!reads_paused_ && fd_ >= 0) {
     const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
     if (n > 0) {
       bytes_read_.inc(static_cast<std::uint64_t>(n));
       deliver_inbound(std::span(buffer, static_cast<std::size_t>(n)));
+      delivered += static_cast<std::size_t>(n);
       maybe_pause_reads(static_cast<std::size_t>(n));
       continue;
     }
@@ -229,14 +251,15 @@ void TcpTransport::drain_socket() {
       // has no meaningful simplex mode — treat it as the session ending.
       remote_closes_.inc();
       close_socket(/*and_endpoint=*/true);
-      return;
+      break;
     }
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     socket_errors_.inc();  // ECONNRESET and friends
     close_socket(/*and_endpoint=*/true);
-    return;
+    break;
   }
+  return delivered;
 }
 
 void TcpTransport::deliver_inbound(std::span<const std::uint8_t> chunk) {

@@ -108,10 +108,24 @@ class TcpTransport : public daemon::Transport {
   /// Bytes read off the socket but not yet consumed by the session layer.
   std::size_t inbound_queue_bytes() const noexcept { return inbound().size(); }
 
+  /// Decode on arrival: `hook` runs on the loop thread right after a read
+  /// has queued bytes (a readable event, or sync() resuming a paused
+  /// socket), so the session layer consumes them now instead of on its
+  /// next tick. When the hook has drained a paused queue below the low
+  /// watermark, reads resume at once; the kernel re-reports the
+  /// still-readable socket, so the rest is read (and the hook runs again)
+  /// on the loop's next pass, after the other ready sessions. The hook
+  /// must not destroy the transport. Without a hook, inbound bytes wait
+  /// for the owner's poll.
+  void set_on_inbound(std::function<void()> hook) {
+    on_inbound_ = std::move(hook);
+  }
+
  private:
   void register_fd();
   void on_event(std::uint32_t events);
-  void drain_socket();
+  /// Reads until EAGAIN or a pause; returns the bytes delivered inbound.
+  std::size_t drain_socket();
   void flush_outbound();
   /// Closes the fd and, when `and_endpoint`, disconnects the endpoint
   /// transport so its epoch bump reaches the session FSM.
@@ -132,9 +146,17 @@ class TcpTransport : public daemon::Transport {
   /// Charges `chunk` bytes to the ingest bucket and checks the watermark;
   /// returns true when reads just paused (caller must stop draining).
   bool maybe_pause_reads(std::size_t chunk);
-  /// Re-arms EPOLLIN when the pause conditions have cleared, then drains
-  /// whatever arrived while paused (EPOLLET would not re-report it).
+  /// True while reads are paused and the pause conditions have cleared
+  /// (bucket out of debt, queue at or below the low watermark).
+  bool can_resume_reads();
+  /// Re-arms EPOLLIN (EPOLL_CTL_MOD re-reports a still-readable socket).
+  void resume_reads();
+  /// Resumes when the pause conditions have cleared, then drains at once
+  /// so the resume does not depend on that re-report.
   void maybe_resume_reads();
+  /// Runs the inbound hook over freshly queued bytes, then resumes reads
+  /// the hook's consumption unpaused.
+  void consume_inbound();
 
   EventLoop* loop_;
   Role role_;
@@ -148,6 +170,7 @@ class TcpTransport : public daemon::Transport {
   IngestLimits limits_;
   TokenBucket ingest_bucket_;
   bool reads_paused_ = false;
+  std::function<void()> on_inbound_;
   metrics::Counter& bytes_read_;
   metrics::Counter& bytes_written_;
   metrics::Counter& connects_;

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -858,6 +859,46 @@ TEST(PrefixBloom, SerializeAndHexFormsRoundTrip) {
   const auto hex = PrefixBloom::from_hex(bloom.to_hex(), bloom.hashes());
   ASSERT_TRUE(hex.has_value());
   EXPECT_EQ(*hex, bloom);
+}
+
+TEST(PrefixBloom, RepeatedPrefixesFreezeToTheSameBytes) {
+  // A segment's stream repeats prefixes; observe() skips one it has seen.
+  // The key set, and so the footer bytes, must equal inserting every
+  // ancestor of every update one by one.
+  std::vector<net::Prefix> stream;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      stream.push_back(pfx("10." + std::to_string((i * 7 + round) % 40) +
+                           ".1.0/24"));
+      if (i % 3 == 0) stream.push_back(pfx("2001:db8:" + std::to_string(i) +
+                                           "::/48"));
+    }
+  }
+  PrefixBloom repeated;
+  for (const auto& prefix : stream) repeated.observe(prefix);
+
+  PrefixBloom every_ancestor;
+  std::set<net::Prefix> ancestors;
+  for (const auto& prefix : stream) {
+    for (unsigned length = 0; length <= prefix.length(); ++length) {
+      const net::Prefix ancestor(prefix.address(), length);
+      every_ancestor.observe(ancestor);
+      ancestors.insert(ancestor);
+    }
+  }
+  EXPECT_EQ(repeated.key_count(), ancestors.size());
+  EXPECT_EQ(every_ancestor.key_count(), ancestors.size());
+
+  repeated.finalize();
+  every_ancestor.finalize();
+  std::vector<std::uint8_t> repeated_bytes;
+  std::vector<std::uint8_t> reference_bytes;
+  repeated.serialize(repeated_bytes);
+  every_ancestor.serialize(reference_bytes);
+  EXPECT_EQ(repeated_bytes, reference_bytes);
+  for (const auto& ancestor : ancestors) {
+    EXPECT_TRUE(repeated.may_cover(ancestor)) << ancestor.str();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Sharded ingest plane (DESIGN.md §14): the determinism contract, the
-// teardown races, and the merge plane as the collector's only
-// filter-refresh schedule (trigger, deferral, the job in flight, metrics,
-// and one oracle shared with Platform::refresh_filters).
+// teardown races, decode on arrival (no update waits for a tick), and the
+// merge plane as the collector's only filter-refresh schedule (trigger,
+// deferral, the job in flight, metrics, and one oracle shared with
+// Platform::refresh_filters).
 //
 // The contract under test: the merged mirror and the merged RIB snapshot
 // handed to the analysis pipeline are byte-identical regardless of how
@@ -18,12 +19,14 @@
 // GILL_SOAK_PEERS / GILL_SOAK_ROUNDS and joins tools/soak.sh.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -302,6 +305,149 @@ TEST(Sharded, FlapStormAcrossShardsSoak) {
 }
 
 // ---------------------------------------------------------------------------
+// Decode on arrival: a session's bytes are decoded in the readable event
+// that read them, so delivery waits for no tick; the tick keeps only the
+// timers.
+// ---------------------------------------------------------------------------
+
+/// Counts the updates sessions keep (the archive tee), from any shard.
+class CountingSink : public mrt::Sink {
+ public:
+  void store(const bgp::Update&) override { updates_.fetch_add(1); }
+  void store_rib_entry(const bgp::Update&) override {}
+  std::size_t updates() const { return updates_.load(); }
+
+ private:
+  std::atomic<std::size_t> updates_{0};
+};
+
+/// One loopback peer against `platform`, driven from the test thread.
+struct LoopbackPeer {
+  ClientFleet fleet;
+  daemon::FakePeer* peer = nullptr;
+
+  bool dial(ShardedPlatform& platform, bgp::AsNumber as) {
+    auto transport = std::make_unique<net::TcpTransport>(
+        fleet.loop, net::Role::kPeerSide, &fleet.registry);
+    if (!transport->dial("127.0.0.1", platform.port())) return false;
+    fleet.peers.push_back(std::make_unique<daemon::FakePeer>(as, *transport));
+    fleet.transports.push_back(std::move(transport));
+    peer = fleet.peers.back().get();
+    return true;
+  }
+
+  /// Pumps the client end until `done()` or `deadline`; true when done.
+  template <typename Done>
+  bool pump_until(std::chrono::steady_clock::time_point deadline,
+                  Done&& done) {
+    while (!done()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      fleet.pump();
+    }
+    return true;
+  }
+};
+
+bgp::Update probe_update() {
+  bgp::Update update;
+  update.prefix = net::Prefix::parse("10.9.0.0/24").value();
+  update.path = bgp::AsPath{65001, 65020};
+  return update;
+}
+
+TEST(DecodeOnArrival, DeliveryWaitsForNoTick) {
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.shards = 2;
+  config.platform.registry = &registry;
+  config.component1_refresh = 0;
+  config.clock = [] { return kNow; };
+  CountingSink archive;               // outlives the shard threads
+  std::vector<bgp::Update> streamed;  // filled by drain_stream(), here
+  ShardedPlatform platform(config);
+  platform.set_archive(&archive);
+  platform.set_stream_publisher(
+      [&streamed](std::span<const bgp::Update> batch) {
+        streamed.insert(streamed.end(), batch.begin(), batch.end());
+      });
+  ASSERT_TRUE(platform.listen("127.0.0.1", 0));
+  platform.start(/*tick_ms=*/60'000);  // no shard tick fires in this test
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  LoopbackPeer client;
+  ASSERT_TRUE(client.dial(platform, 65001));
+  // The collector's KEEPALIVE answers the peer's OPEN: it was decoded on
+  // arrival, not at a tick.
+  ASSERT_TRUE(client.pump_until(deadline,
+                                [&] { return client.peer->established(); }))
+      << "the peer's OPEN was not answered within 1 s";
+
+  const bgp::Update update = probe_update();
+  client.peer->send_update(update);
+  ASSERT_TRUE(client.pump_until(deadline, [&] {
+    platform.drain_stream();
+    return archive.updates() == 1 && streamed.size() == 1;
+  })) << archive.updates() << " archived, " << streamed.size()
+      << " streamed within 1 s";
+  EXPECT_EQ(streamed[0].vp, 0u);
+  EXPECT_EQ(streamed[0].prefix, update.prefix);
+  EXPECT_EQ(streamed[0].path, update.path);
+  platform.stop();
+}
+
+TEST(DecodeOnArrival, ShedSessionIsNotDecoded) {
+  std::atomic<std::size_t> memory{100};
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.shards = 1;
+  config.platform.registry = &registry;
+  config.platform.overload.mem_high_watermark = 1000;
+  config.platform.overload.max_shed_fraction = 1.0;
+  config.platform.overload.memory_probe = [&memory] { return memory.load(); };
+  config.component1_refresh = 0;
+  config.clock = [] { return kNow; };
+  CountingSink archive;
+  ShardedPlatform platform(config);
+  platform.set_archive(&archive);
+  ASSERT_TRUE(platform.listen("127.0.0.1", 0));
+  platform.start(/*tick_ms=*/60'000);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  LoopbackPeer client;
+  ASSERT_TRUE(client.dial(platform, 65001));
+  ASSERT_TRUE(client.pump_until(deadline,
+                                [&] { return client.peer->established(); }));
+
+  // Memory spikes: the control tick samples it and the shard's next step
+  // sheds the only session.
+  memory = 2000;
+  platform.control_tick(kNow);
+  platform.with_shard(0, [](Platform& shard) { shard.step(kNow); });
+  ASSERT_EQ(platform.health_snapshot().shed, 1u);
+
+  client.peer->send_update(probe_update());
+  const auto queued = [&] {
+    return platform.with_shard(0, [](Platform& shard) {
+      return shard.transport_of(0).to_daemon.size();
+    });
+  };
+  // The bytes reach the session's queue, and the readable event that
+  // queued them decoded nothing.
+  ASSERT_TRUE(client.pump_until(deadline, [&] { return queued() > 0; }));
+  EXPECT_EQ(platform.with_shard(0,
+                                [](Platform& shard) {
+                                  return shard.daemon_of(0)
+                                      .stats()
+                                      .updates_received;
+                                }),
+            0u);
+  EXPECT_EQ(archive.updates(), 0u);
+  platform.stop();
+}
+
+// ---------------------------------------------------------------------------
 // The merge plane: the collector's only filter-refresh schedule.
 // ---------------------------------------------------------------------------
 
@@ -445,11 +591,13 @@ TEST(MergePlane, SessionsKeepFlowingWhileARefreshIsInFlight) {
   ASSERT_TRUE(fleet.connect(platform, 65001));
   ASSERT_TRUE(fleet.connect(platform, 65002));
   const auto send_window = [&](std::size_t per_peer, std::uint32_t base) {
+    // Counted before sending: the shards decode on arrival, so a count
+    // taken after the sends may already include some of them.
+    const std::size_t want = platform.stored_updates() + 2 * per_peer;
     for (std::size_t i = 0; i < fleet.peers.size(); ++i) {
       fleet.peers[i]->send_synthetic_burst(
           per_peer, base | (static_cast<std::uint32_t>(i) << 16));
     }
-    const std::size_t want = platform.stored_updates() + 2 * per_peer;
     for (int i = 0; i < 100000 && platform.stored_updates() < want; ++i) {
       fleet.pump();
     }

@@ -1,6 +1,7 @@
 // The live streaming distribution plane (GET /v1/stream): subscription
 // parameter compilation, per-subscriber filtering over real loopback TCP,
-// the trim/evict backpressure state machine under a stalled socket, the
+// the trim/evict backpressure state machine under a stalled socket, batch
+// publishes (one flush per batch, never a trim for batch size), the
 // idle-sweep exemption for quiet parked streams, the legacy /stream alias
 // and the raw-MRT output format.
 //
@@ -14,9 +15,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "feed/live_feed.hpp"
@@ -311,11 +315,28 @@ TEST(StreamHub, WithdrawalsStreamAsWithdrawalDocuments) {
   EXPECT_EQ(messages[0].withdrawals[0].str(), "10.1.0.0/16");
 }
 
-// A reader that stops consuming fills its kernel buffers, then its queue;
-// above the high watermark its new messages are trimmed whole, and when it
-// never drains it is evicted — all without disturbing a healthy subscriber
-// or growing any queue past the watermark.
-TEST(StreamHub, StalledReaderIsTrimmedThenEvictedWithoutCollateral) {
+/// `count` updates of ~1.5 KiB each as NDJSON (a 200-hop AS path), update
+/// i announcing 10.i.0.0/16: a handful fill a 4 KiB queue.
+std::vector<bgp::Update> long_path_batch(int count) {
+  std::vector<bgp::AsNumber> long_path(200);
+  for (std::size_t i = 0; i < long_path.size(); ++i) {
+    long_path[i] = static_cast<bgp::AsNumber>(65000 + i);
+  }
+  std::vector<bgp::Update> batch;
+  for (int i = 0; i < count; ++i) {
+    const std::string prefix = "10." + std::to_string(i) + ".0.0/16";
+    batch.push_back(make_update(1, prefix.c_str(), long_path));
+  }
+  return batch;
+}
+
+/// A reader that stops consuming fills its kernel buffers, then its queue;
+/// above the high watermark its new messages are trimmed whole, and when it
+/// never drains it is evicted — all without disturbing a healthy subscriber
+/// or growing any queue past the watermark. `flood(hub)` publishes one
+/// round of the flood; the loop serves the healthy reader between rounds.
+void expect_stalled_reader_evicted(
+    const std::function<void(StreamHub&)>& flood) {
   EventLoop loop;
   metrics::Registry registry;
   HttpEndpoint http(loop, &registry);
@@ -339,25 +360,17 @@ TEST(StreamHub, StalledReaderIsTrimmedThenEvictedWithoutCollateral) {
   }
   ASSERT_EQ(hub.subscriber_count(), 2u);
 
-  // ~1.5 KiB per message (a long AS path): a handful fill the 4 KiB queue
-  // once the kernel buffers are full.
-  std::vector<bgp::AsNumber> long_path(200);
-  for (std::size_t i = 0; i < long_path.size(); ++i) {
-    long_path[i] = static_cast<bgp::AsNumber>(65000 + i);
-  }
-  int published = 0;
-  for (; published < 20000 &&
+  int rounds = 0;
+  for (; rounds < 2000 &&
          registry.counter_total("gill_stream_evictions_total") == 0;
-       ++published) {
-    hub.publish(make_update(1, "10.1.0.0/16", long_path));
-    if (published % 16 == 0) {
-      loop.run_once(0);
-      healthy.pump();
-    }
+       ++rounds) {
+    flood(hub);
+    loop.run_once(0);
+    healthy.pump();
   }
 
   EXPECT_EQ(registry.counter_total("gill_stream_evictions_total"), 1u)
-      << "stalled subscriber not evicted after " << published << " publishes";
+      << "stalled subscriber not evicted after " << rounds << " rounds";
   EXPECT_GE(registry.counter_total("gill_stream_dropped_msgs_total"),
             config.evict_after_drops);
   // Bounded memory: no queue ever exceeded the configured watermark.
@@ -374,6 +387,88 @@ TEST(StreamHub, StalledReaderIsTrimmedThenEvictedWithoutCollateral) {
   ASSERT_EQ(messages.size(), 1u);
   EXPECT_EQ(messages[0].announcements.at(0).str(), "192.168.1.0/24");
   EXPECT_EQ(hub.queue_bytes(), 0u);  // fully drained again
+}
+
+TEST(StreamHub, StalledReaderIsTrimmedThenEvictedWithoutCollateral) {
+  const std::vector<bgp::Update> flood = long_path_batch(16);
+  expect_stalled_reader_evicted([&flood](StreamHub& hub) {
+    for (const auto& update : flood) hub.publish(update);
+  });
+}
+
+// The same flood as batches: the trim and evict rules are those of single
+// publishes.
+TEST(StreamHub, BatchesTrimThenEvictAStalledReader) {
+  const std::vector<bgp::Update> batch = long_path_batch(32);
+  expect_stalled_reader_evicted(
+      [&batch](StreamHub& hub) { hub.publish(batch); });
+}
+
+// One publish(batch) call fans a batch out, but the subscriber is flushed
+// every time a chunk's worth (at most the low watermark) has queued up, so
+// a batch twelve times the queue watermark reaches a subscriber whose
+// socket keeps accepting bytes, in order and without a single drop.
+TEST(StreamHub, BatchAboveTheWatermarkReachesAReadingSubscriber) {
+  EventLoop loop;
+  metrics::Registry registry;
+  HttpEndpoint http(loop, &registry);
+  StreamConfig config;
+  config.queue_high_bytes = 4096;
+  config.evict_after_drops = 8;
+  StreamHub hub(http, config, &registry);
+  ASSERT_TRUE(http.listen("127.0.0.1", 0));
+
+  LiveClient client(http.port(), "/v1/stream");
+  for (int i = 0;
+       i < 500 && (hub.subscriber_count() < 1 || client.headers().empty());
+       ++i) {
+    loop.run_once(1);
+    client.pump();
+  }
+  ASSERT_EQ(hub.subscriber_count(), 1u);
+
+  const std::vector<bgp::Update> batch = long_path_batch(32);
+  hub.publish(batch);
+  EXPECT_EQ(registry.counter_total("gill_stream_dropped_msgs_total"), 0u);
+  EXPECT_LE(hub.max_subscriber_queue_bytes(), config.queue_high_bytes);
+  for (int i = 0; i < 500 && client.messages().size() < batch.size(); ++i) {
+    loop.run_once(1);
+    client.pump();
+  }
+  const auto messages = client.messages();
+  ASSERT_EQ(messages.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(messages[i].announcements.at(0), batch[i].prefix) << i;
+  }
+  EXPECT_EQ(registry.counter_total("gill_stream_evictions_total"), 0u);
+}
+
+// A single publish flushes at once: the record is on the subscriber's
+// socket when publish() returns, with no loop pass in between.
+TEST(StreamHub, SinglePublishReachesTheSocketWithNoFurtherCall) {
+  EventLoop loop;
+  metrics::Registry registry;
+  HttpEndpoint http(loop, &registry);
+  StreamHub hub(http, {}, &registry);
+  ASSERT_TRUE(http.listen("127.0.0.1", 0));
+
+  LiveClient client(http.port(), "/v1/stream");
+  for (int i = 0;
+       i < 500 && (hub.subscriber_count() < 1 || client.headers().empty());
+       ++i) {
+    loop.run_once(1);
+    client.pump();
+  }
+  ASSERT_EQ(hub.subscriber_count(), 1u);
+
+  hub.publish(make_update(4, "10.0.0.0/8", {65010}));
+  for (int i = 0; i < 1000 && client.messages().empty(); ++i) {
+    client.pump();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto messages = client.messages();
+  ASSERT_EQ(messages.size(), 1u);
+  EXPECT_EQ(messages[0].vp, 4u);
 }
 
 // Quiet is not stalled: a parked subscriber with nothing pending survives

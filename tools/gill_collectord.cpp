@@ -27,6 +27,7 @@
 #include <ctime>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "archive/archive_writer.hpp"
 #include "archive/query_engine.hpp"
@@ -59,7 +60,9 @@ constexpr const char* kUsage =
     "  --ingest-shards N      ingest event loops (one thread + SO_REUSEPORT\n"
     "                         listener each): -1 one per core, default 1\n"
     "  --max-peers N          refuse sessions beyond this (default 4096)\n"
-    "  --tick-ms N            session tick interval (default 200)\n"
+    "  --tick-ms N            session timer tick: hold, keepalive, GR, RIB\n"
+    "                         dumps, rotation and refresh (default 200);\n"
+    "                         updates are decoded and streamed as they arrive\n"
     "  --rib-dump-interval N  per-session RIB snapshot period, seconds (default off)\n"
     "  --analysis-threads N   worker pool for filter refreshes: -1 auto,\n"
     "                         0 synchronous on the control loop (default -1)\n"
@@ -411,7 +414,9 @@ int main(int argc, char** argv) {
   net::StreamHub stream_hub(http, stream_config, &registry);
   live_stream = &stream_hub;
   platform.set_stream_publisher(
-      [&stream_hub](const bgp::Update& update) { stream_hub.publish(update); });
+      [&stream_hub](std::span<const bgp::Update> batch) {
+        stream_hub.publish(batch);
+      });
 
   if (!http.listen(bind_ip, http_port)) {
     std::fprintf(stderr, "error: cannot listen on %s:%u (HTTP)\n",
@@ -419,10 +424,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Each shard's own timer wheel drives its sessions (poll decoded bytes,
-  // expire hold timers, emit keepalives, flush socket backlogs); the
-  // control tick here samples the memory watermark, fans the stream
-  // outboxes into the hub, runs the merge cadence and rotates the archive.
+  // A shard decodes a session's bytes in the readable event that read
+  // them; its timer wheel keeps the session timers (hold, keepalive, GR,
+  // RIB dumps, socket sync). The control tick here samples the memory
+  // watermark, runs the merge cadence and rotates the archive; the stream
+  // hand-off runs after every pass of this loop (see below).
   platform.start(static_cast<std::uint64_t>(tick_ms));
   std::uint64_t seen_manifest_generation = 0;
   loop.call_every(static_cast<std::uint64_t>(tick_ms), [&] {
@@ -474,8 +480,13 @@ int main(int argc, char** argv) {
                bmp_port > 0 ? " (+BMP)" : "", platform.shard_count(),
                platform.shard_count() == 1 ? "" : "s", bind_ip.c_str(),
                http.port());
+  // The stream hand-off rides the loop's own wakeups: with timers armed,
+  // run_once() returns at least once per 10 ms wheel step, and every pass
+  // moves the shard outboxes into the hub, one batch (and one flush per
+  // subscriber) per shard. No wakeup per update.
   while (!loop.stopped() && g_stop == 0) {
     loop.run_once(100);
+    platform.drain_stream();
   }
 
   // Quiesce the ingest fleet first: once the shard threads are joined,

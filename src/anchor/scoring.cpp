@@ -168,7 +168,6 @@ std::vector<std::vector<double>> redundancy_scores(
   for (const auto& matrix : matrices) v = std::max(v, matrix.rows.size());
   std::vector<std::vector<double>> distance(v, std::vector<double>(v, 0.0));
   if (v == 0) return distance;
-  if (pool != nullptr && par::serial_forced()) pool = nullptr;
 
   // Events whose matrix covers every VP participate; normalization is
   // per-matrix independent, so it fans out across the pool.

@@ -74,9 +74,9 @@ struct ScoreCache {
 /// With a pool, column normalization fans out per event and the V×V upper
 /// triangle is sharded by row across the workers; every cell is computed by
 /// exactly one shard with the serial path's arithmetic, so the matrix is
-/// byte-identical at any thread count (GILL_ANALYSIS_SERIAL forces the
-/// serial path outright). `vps` (parallel to the matrix rows) enables the
-/// cross-refresh `cache`; pass it empty to disable caching.
+/// byte-identical at any thread count (a null pool runs the serial path).
+/// `vps` (parallel to the matrix rows) enables the cross-refresh `cache`;
+/// pass it empty to disable caching.
 std::vector<std::vector<double>> redundancy_scores(
     std::vector<EventFeatureMatrix> matrices,
     const std::vector<VpId>& vps, par::ThreadPool* pool = nullptr,

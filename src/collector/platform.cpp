@@ -21,6 +21,8 @@ std::string_view to_string(PeerStatus status) noexcept {
   return "?";
 }
 
+namespace {
+
 /// Default memory probe: resident set size in bytes, via /proc/self/statm.
 std::size_t process_rss_bytes() {
   std::FILE* f = std::fopen("/proc/self/statm", "r");
@@ -34,43 +36,44 @@ std::size_t process_rss_bytes() {
          static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
 }
 
-Platform::PlatformCounters::PlatformCounters(metrics::Registry& registry,
-                                             const metrics::Labels& labels)
+}  // namespace
+
+Platform::PlatformCounters::PlatformCounters(metrics::Registry& registry)
     : mirrored_updates(registry.counter(
           "gill_collector_mirrored_updates_total",
-          "Updates mirrored into the sampling buffer", labels)),
+          "Updates mirrored into the sampling buffer")),
       forwarded_updates(registry.counter(
           "gill_collector_forwarded_updates_total",
-          "Updates pushed to operator forwarding rules (custom services)", labels)),
+          "Updates pushed to operator forwarding rules (custom services)")),
       quarantines(registry.counter("gill_collector_quarantines_total",
-                                   "Peers entering quarantine", labels)),
+                                   "Peers entering quarantine")),
       sheds(registry.counter(
           "gill_overload_sheds_total",
-          "Peers frozen by the memory-watermark degraded mode", labels)),
+          "Peers frozen by the memory-watermark degraded mode")),
       readmits(registry.counter(
           "gill_overload_readmits_total",
-          "Shed peers re-admitted after memory recovered", labels)),
+          "Shed peers re-admitted after memory recovered")),
       peers(registry.gauge("gill_collector_peers",
-                           "Peering sessions managed by the platform", labels)),
+                           "Peering sessions managed by the platform")),
       quarantined_peers(registry.gauge(
           "gill_collector_quarantined_peers",
-          "Peers currently frozen by the quarantine policy", labels)),
+          "Peers currently frozen by the quarantine policy")),
       degraded(registry.gauge(
           "gill_overload_degraded",
-          "1 while the memory watermark holds the platform degraded", labels)),
+          "1 while the memory watermark holds the platform degraded")),
       memory_bytes(registry.gauge(
           "gill_overload_memory_bytes",
-          "Last memory-probe reading (process RSS by default)", labels)),
+          "Last memory-probe reading (process RSS by default)")),
       shed_peers(registry.gauge(
           "gill_overload_shed_peers",
-          "Peers currently frozen by overload shedding", labels)) {}
+          "Peers currently frozen by overload shedding")) {}
 
 Platform::Platform(PlatformConfig config)
     : config_(std::move(config)),
       own_registry_(config_.registry ? nullptr
                                      : std::make_unique<metrics::Registry>()),
       registry_(config_.registry ? config_.registry : own_registry_.get()),
-      counters_(*registry_, config_.metric_labels) {}
+      counters_(*registry_) {}
 
 VpId Platform::add_peer(bgp::AsNumber peer_as, Timestamp now) {
   return add_peer_internal(peer_as, now, std::make_unique<daemon::Transport>(),
@@ -121,7 +124,7 @@ VpId Platform::add_peer_internal(
     bgp::AsNumber peer_as, Timestamp now,
     std::unique_ptr<daemon::Transport> transport, bool make_fake_peer,
     bool arm_retry) {
-  const VpId vp = config_.vp_allocator ? config_.vp_allocator() : next_vp_++;
+  const VpId vp = next_vp_++;
   Peer peer;
   peer.vp = vp;
   peer.as = peer_as;
@@ -137,7 +140,7 @@ VpId Platform::add_peer_internal(
     forward(update);  // §14 custom services run before any discarding
     if (stream_publisher_) stream_publisher_(update);
   });
-  if (config_.auto_reconnect && arm_retry) {
+  if (arm_retry) {
     auto retry = config_.retry;
     retry.jitter_seed ^= 0x9E3779B97F4A7C15ULL * (vp + 1);
     peer.daemon->set_retry_policy(retry);
@@ -384,7 +387,7 @@ std::string to_json(const HealthSnapshot& snapshot) {
 FilterRefresh compute_refresh(bgp::UpdateStream mirror,
                               const std::vector<VpId>& quarantined,
                               const sample::GillConfig& gill,
-                              par::ThreadPool* pool, anchor::ScoreCache cache) {
+                              par::ThreadPool* pool) {
   FilterRefresh refresh;
   if (!quarantined.empty()) {
     const std::unordered_set<VpId> bad(quarantined.begin(), quarantined.end());
@@ -398,20 +401,16 @@ FilterRefresh compute_refresh(bgp::UpdateStream mirror,
   mirror.sort();
   sample::PipelineRuntime runtime;
   runtime.pool = pool;
-  runtime.score_cache = &cache;
   auto result = sample::run_gill_pipeline(bgp::UpdateStream{}, mirror, {},
                                           gill, runtime);
   refresh.filters = std::move(result.filters);
   refresh.anchors = std::move(result.anchors);
-  refresh.cache = std::move(cache);
   return refresh;
 }
 
 void Platform::refresh_filters(par::ThreadPool* pool) {
-  FilterRefresh refresh = compute_refresh(take_mirror(), quarantined_vps(),
-                                          config_.gill, pool,
-                                          std::move(score_cache_));
-  score_cache_ = std::move(refresh.cache);
+  FilterRefresh refresh =
+      compute_refresh(take_mirror(), quarantined_vps(), config_.gill, pool);
   install_filters(std::move(refresh.filters), std::move(refresh.anchors));
 }
 

@@ -2,7 +2,7 @@
 // mirrors incoming updates for the sampling algorithms, and loads filter
 // sets into the daemons. The refresh computation (Components #1/#2 over the
 // mirror, then filter generation) is one free function, compute_refresh();
-// its periodic schedule lives in the sharded merge plane (sharded.hpp),
+// its periodic schedule lives in the collector's merge plane (sharded.hpp),
 // while Platform::refresh_filters() runs it once over this platform's own
 // mirror. The two supporting documents (the filter description and the
 // anchor-VP list) render from whatever filter set is installed.
@@ -60,10 +60,10 @@ struct OverloadPolicy {
 struct PlatformConfig {
   sample::GillConfig gill;
   bgp::AsNumber local_as = 65000;
-  /// Session resilience: every daemon reconnects after teardown with this
-  /// backoff (jitter-seeded per VP). Disable for single-shot sessions.
+  /// Session resilience: in-process and dialed sessions reconnect after
+  /// teardown with this backoff (jitter-seeded per VP); an accepted peer
+  /// re-dials us instead.
   daemon::RetryPolicy retry;
-  bool auto_reconnect = true;
   HealthPolicy health;
   /// RFC 4724 graceful-restart policy applied to every session's daemon.
   /// Negotiation still requires the peer to advertise the capability, so
@@ -73,15 +73,6 @@ struct PlatformConfig {
   /// Registry hosting the platform's and every session's metrics; when
   /// null the platform owns a private one (see Platform::metrics()).
   metrics::Registry* registry = nullptr;
-  /// Labels stamped on every platform-level instrument. The sharded
-  /// collector sets {{"shard","<i>"}} so N platforms sharing one registry
-  /// publish distinct series instead of clobbering one another's gauges.
-  metrics::Labels metric_labels;
-  /// VP-id allocator. Empty keeps the historical platform-local counter;
-  /// the sharded collector injects one shared atomic counter so ids stay
-  /// unique across shards and independent of which shard a session lands
-  /// on (part of the shard-count-invariance contract).
-  std::function<VpId()> vp_allocator;
 };
 
 enum class PeerStatus : std::uint8_t {
@@ -133,32 +124,25 @@ std::string format(const HealthSnapshot& snapshot);
 /// HTTP endpoint): {"peers":N,"quarantined":N,"sessions":[...]}.
 std::string to_json(const HealthSnapshot& snapshot);
 
-/// Resident set size in bytes (/proc/self/statm) — the default memory
-/// probe. Public so the sharded collector can take ONE reading per tick
-/// and fan the same number out to every shard's watermark check (the
-/// watermark must act globally; see OverloadPolicy::memory_probe).
-std::size_t process_rss_bytes();
-
 /// What one filter refresh produces: the new filter set and anchor roster,
-/// the score cache to carry into the next refresh, and how many mirrored
-/// updates of quarantined VPs were dropped before sampling.
+/// and how many mirrored updates of quarantined VPs were dropped before
+/// sampling.
 struct FilterRefresh {
   filt::FilterTable filters;
   std::vector<VpId> anchors;
-  anchor::ScoreCache cache;
   std::size_t purged = 0;
 };
 
 /// The one filter-refresh computation (Fig. 9), in this order: drop the
 /// updates of `quarantined` VPs (a flapping feed's mirrored data is as
 /// suspect as the session that produced it), sort the window, then run
-/// the GILL pipeline over it with `cache` carried from the last refresh.
-/// Pure: it touches only its arguments, so it may run on a worker. `pool`
-/// (may be null) fans out the pipeline's parallel stages.
+/// the GILL pipeline over it. Pure: it touches only its arguments, so it
+/// may run on a worker. `pool` (may be null) fans out the pipeline's
+/// parallel stages; null runs them serially on the calling thread.
 FilterRefresh compute_refresh(bgp::UpdateStream mirror,
                               const std::vector<VpId>& quarantined,
                               const sample::GillConfig& gill,
-                              par::ThreadPool* pool, anchor::ScoreCache cache);
+                              par::ThreadPool* pool);
 
 /// The two published documents (§9), rendered from an installed filter set
 /// and anchor roster.
@@ -234,7 +218,7 @@ class Platform {
   HealthSnapshot health_snapshot() const;
 
   /// The registry holding the platform's and every session's metrics;
-  /// expose_prometheus()/expose_json() are the scrape endpoints.
+  /// expose_prometheus() is the scrape endpoint.
   metrics::Registry& metrics() const noexcept { return *registry_; }
 
   /// Drives all sessions: polls daemons and remotes, expires hold timers,
@@ -276,12 +260,12 @@ class Platform {
 
   /// Drains the mirror (the window restarts empty) and hands it to the
   /// caller — the refresh's harvest primitive. Must run on the thread that
-  /// owns this platform (a shard's loop thread).
+  /// owns this platform (the collector's ingest thread).
   bgp::UpdateStream take_mirror();
 
   /// Installs a computed filter set and anchor roster and bumps the filter
-  /// generation. The merge plane runs ONE pipeline over the merged mirrors,
-  /// then installs the identical result into every shard's platform.
+  /// generation. The merge plane runs the pipeline over the harvested
+  /// mirror, then installs the result here on the ingest thread.
   void install_filters(filt::FilterTable filters, std::vector<VpId> anchors);
 
   /// VPs currently frozen by the quarantine policy (refresh input: their
@@ -320,8 +304,7 @@ class Platform {
  private:
   /// Registry-backed platform-level instruments, resolved at construction.
   struct PlatformCounters {
-    PlatformCounters(metrics::Registry& registry,
-                     const metrics::Labels& labels);
+    explicit PlatformCounters(metrics::Registry& registry);
 
     metrics::Counter& mirrored_updates;
     metrics::Counter& forwarded_updates;
@@ -372,8 +355,6 @@ class Platform {
   /// refresh harvests it and the next window restarts empty.
   bgp::UpdateStream mirror_;
   bool degraded_ = false;
-  /// Carried across refresh_filters() calls.
-  anchor::ScoreCache score_cache_;
   std::uint64_t generation_ = 0;
 };
 

@@ -203,7 +203,6 @@ ScenarioVerdict ScenarioDriver::run_tcp() {
   }
   ScenarioVerdict verdict =
       scorer.finish(last_send_ms - first_send_ms, lost);
-  verdict.ingest_shards = config_.ingest_shards;
   stream.close();
   return verdict;
 }
@@ -314,9 +313,7 @@ ScenarioVerdict ScenarioDriver::run_in_memory() {
   for (ShapedTransport* transport : shaped) {
     lost += transport->shaping_stats().lost_updates;
   }
-  ScenarioVerdict verdict = scorer.finish(last_send_ms - first_send_ms, lost);
-  verdict.ingest_shards = 1;  // the embedded platform is unsharded
-  return verdict;
+  return scorer.finish(last_send_ms - first_send_ms, lost);
 }
 
 }  // namespace gill::harness

@@ -38,9 +38,6 @@ struct DriverConfig {
   // In-memory mode: workers for the post-replay refresh's parallel stages
   // (0 runs them serially).
   std::size_t analysis_threads = 0;
-  /// Ingest shards the TARGET collector runs with (--ingest-shards); the
-  /// driver only records it in the verdict, the collector owns the plane.
-  std::size_t ingest_shards = 1;
 };
 
 class ScenarioDriver {

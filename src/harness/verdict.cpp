@@ -149,11 +149,10 @@ std::string ScenarioVerdict::to_json() const {
                 "\",\"passed\":%s,\"updates_sent\":%zu,"
                 "\"updates_delivered\":%zu,\"delivery_completeness\":%.4f,"
                 "\"replay_ms\":%.1f,\"events_per_sec\":%.1f,"
-                "\"link_lost_updates\":%zu,\"ingest_shards\":%zu,"
-                "\"events\":[",
+                "\"link_lost_updates\":%zu,\"events\":[",
                 passed ? "true" : "false", updates_sent, updates_delivered,
                 delivery_completeness, replay_ms, events_per_sec,
-                link_lost_updates, ingest_shards);
+                link_lost_updates);
   out += buffer;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const EventVerdict& event = events[i];

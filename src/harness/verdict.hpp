@@ -45,9 +45,6 @@ struct ScenarioVerdict {
   double replay_ms = 0.0;
   double events_per_sec = 0.0;       // updates_sent over the replay window
   std::size_t link_lost_updates = 0;  // shaped away by the link model
-  /// Ingest shards the target collector ran with (1 = unsharded; recorded
-  /// so a verdict names the topology it scored).
-  std::size_t ingest_shards = 1;
   std::vector<EventVerdict> events;
 
   std::string to_json() const;

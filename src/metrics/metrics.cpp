@@ -1,10 +1,7 @@
 #include "metrics/metrics.hpp"
 
-#include <ctime>
-
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -26,9 +23,8 @@ std::string child_key(std::string_view name, const Labels& labels) {
   return key;
 }
 
-/// Renders a double so that the Prometheus and JSON expositions agree
-/// byte-for-byte: integral values print as integers, the rest round-trip
-/// through %.17g.
+/// Renders a double for the exposition: integral values print as
+/// integers, the rest round-trip through %.17g.
 std::string format_number(double value) {
   if (std::isfinite(value) && value == std::floor(value) &&
       std::abs(value) < 9.007199254740992e15) {
@@ -40,30 +36,6 @@ std::string format_number(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.17g", value);
   return buffer;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// `{k1="v1",k2="v2"}` with escaped values; empty for label-less children.
@@ -113,18 +85,6 @@ std::string escape_label_value(std::string_view value) {
   return out;
 }
 
-std::int64_t coarse_now_ms() noexcept {
-#if defined(CLOCK_MONOTONIC_COARSE)
-  timespec ts;
-  if (clock_gettime(CLOCK_MONOTONIC_COARSE, &ts) == 0) {
-    return std::int64_t{ts.tv_sec} * 1000 + ts.tv_nsec / 1000000;
-  }
-#endif
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void Gauge::add(double delta) noexcept {
   // CAS loop instead of the C++20 atomic<double>::fetch_add so the code
   // stays correct on standard libraries that lack the floating-point
@@ -134,7 +94,6 @@ void Gauge::add(double delta) noexcept {
                                        std::memory_order_relaxed,
                                        std::memory_order_relaxed)) {
   }
-  updated_ms_.store(coarse_now_ms(), std::memory_order_relaxed);
 }
 
 Histogram::Histogram(std::size_t finite_buckets)
@@ -213,11 +172,9 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
     switch (entry.type) {
       case MetricType::kCounter:
         sample.value = static_cast<double>(entry.counter->value());
-        sample.updated_ms = entry.counter->last_update_ms();
         break;
       case MetricType::kGauge:
         sample.value = entry.gauge->value();
-        sample.updated_ms = entry.gauge->last_update_ms();
         break;
       case MetricType::kHistogram: {
         const Histogram& histogram = *entry.histogram;
@@ -267,45 +224,6 @@ std::string Registry::expose_prometheus() const {
              format_number(sample.value) + '\n';
     }
   }
-  return out;
-}
-
-std::string Registry::expose_json() const {
-  std::string out = "{\"metrics\":[";
-  bool first_metric = true;
-  for (const auto& sample : snapshot()) {
-    if (!first_metric) out += ',';
-    first_metric = false;
-    out += "{\"name\":\"" + json_escape(sample.name) + "\",\"type\":\"";
-    out += to_string(sample.type);
-    out += "\",\"help\":\"" + json_escape(sample.help) + "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [label, value] : sample.labels) {
-      if (!first_label) out += ',';
-      first_label = false;
-      out += '"' + json_escape(label) + "\":\"" + json_escape(value) + '"';
-    }
-    out += '}';
-    if (sample.type == MetricType::kHistogram) {
-      out += ",\"buckets\":[";
-      bool first_bucket = true;
-      for (const auto& bucket : sample.buckets) {
-        if (!first_bucket) out += ',';
-        first_bucket = false;
-        out += "{\"le\":" + std::to_string(bucket.le) +
-               ",\"count\":" + std::to_string(bucket.cumulative) + '}';
-      }
-      out += "],\"sum\":" + std::to_string(sample.sum) +
-             ",\"count\":" + std::to_string(sample.count);
-    } else {
-      out += ",\"value\":" + format_number(sample.value);
-      // JSON-only: the Prometheus text format stays byte-stable (golden
-      // tested) and real scrapers attach their own scrape timestamp.
-      out += ",\"updated_ms\":" + std::to_string(sample.updated_ms);
-    }
-    out += '}';
-  }
-  out += "]}";
   return out;
 }
 

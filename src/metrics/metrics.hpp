@@ -1,6 +1,6 @@
 // Process-wide metric registry (the "metrics endpoint" the ROADMAP asks
 // for): counters, gauges and fixed-log2-bucket histograms with Prometheus
-// labels, exposable as Prometheus v0.0.4 text or a JSON snapshot.
+// labels, exposed as Prometheus v0.0.4 text.
 //
 // Design constraints, in order:
 //   1. The daemon decode hot path increments counters per message; an
@@ -42,34 +42,20 @@ enum class MetricType : std::uint8_t { kCounter, kGauge, kHistogram };
 
 std::string_view to_string(MetricType type) noexcept;
 
-/// Milliseconds on the coarse monotonic clock: a vDSO read (no syscall),
-/// cheap enough to stamp every counter increment. Tick granularity is the
-/// kernel's (typically 1-4 ms) — plenty for "when did this metric last
-/// move" staleness checks, which is all the timestamps are for.
-std::int64_t coarse_now_ms() noexcept;
-
-/// Monotonic event count. The increment is a relaxed atomic add plus a
-/// relaxed store of the coarse clock: still lock-free and cheap enough for
-/// the per-update decode path of hundreds of sessions.
+/// Monotonic event count. The increment is one relaxed atomic add:
+/// lock-free and cheap enough for the per-update decode path of hundreds
+/// of sessions.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
-    updated_ms_.store(coarse_now_ms(), std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  /// Coarse-monotonic milliseconds of the last inc(); 0 = never updated.
-  /// Exposed in the JSON exposition only — the Prometheus text format has
-  /// no per-sample metadata slot that scrapers tolerate.
-  std::int64_t last_update_ms() const noexcept {
-    return updated_ms_.load(std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<std::uint64_t> value_{0};
-  std::atomic<std::int64_t> updated_ms_{0};
 };
 
 /// A value that goes up and down (peer counts, queue depths).
@@ -77,21 +63,15 @@ class Gauge {
  public:
   void set(double value) noexcept {
     value_.store(value, std::memory_order_relaxed);
-    updated_ms_.store(coarse_now_ms(), std::memory_order_relaxed);
   }
   void add(double delta) noexcept;
   void sub(double delta) noexcept { add(-delta); }
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  /// Coarse-monotonic milliseconds of the last set()/add(); 0 = never.
-  std::int64_t last_update_ms() const noexcept {
-    return updated_ms_.load(std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<double> value_{0.0};
-  std::atomic<std::int64_t> updated_ms_{0};
 };
 
 /// Histogram over non-negative integer observations (byte sizes,
@@ -172,12 +152,10 @@ struct MetricSnapshot {
   std::vector<Bucket> buckets;  // histogram only
   std::uint64_t sum = 0;        // histogram only
   std::uint64_t count = 0;      // histogram only
-  /// Counter/gauge only: coarse-monotonic ms of the last write (0 = never).
-  std::int64_t updated_ms = 0;
 };
 
 /// The registry: owns every metric, hands out stable references, and
-/// renders the two exposition formats. All members are thread-safe.
+/// renders the Prometheus exposition. All members are thread-safe.
 class Registry {
  public:
   Registry() = default;
@@ -196,17 +174,13 @@ class Registry {
                        std::size_t finite_buckets = Histogram::kDefaultBuckets);
 
   /// Every registered child, ordered by (name, labels) — the exposition
-  /// order of both formats.
+  /// order.
   std::vector<MetricSnapshot> snapshot() const;
 
   /// Prometheus text exposition format v0.0.4 (one HELP/TYPE header per
   /// family, label values escaped, histograms expanded into cumulative
   /// `_bucket`/`_sum`/`_count` series).
   std::string expose_prometheus() const;
-
-  /// The same snapshot as one JSON document:
-  /// {"metrics":[{"name":...,"type":...,"labels":{...},"value":...},...]}.
-  std::string expose_json() const;
 
   /// Sum of a counter family over all label sets (0 when absent) — the
   /// natural aggregate for per-VP counters in tests and health checks.

@@ -101,9 +101,10 @@ class EventLoop {
   }
 
   /// Enqueues `task` to run on the loop thread during its next iteration
-  /// and wakes the loop (eventfd). THREAD-SAFE — this is the cross-shard
+  /// and wakes the loop (eventfd). THREAD-SAFE — this is the cross-thread
   /// hand-off primitive: the merge plane posts mirror harvests and filter
-  /// installs. Tasks run in post order, after fd dispatch, before timers.
+  /// installs to the ingest loop. Tasks run in post order, after fd
+  /// dispatch, before timers.
   /// Returns false when the loop has no wakeup fd (construction failed).
   bool post(std::function<void()> task);
   /// Forces the next epoll_wait to return (no-op without a wakeup fd).

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -123,34 +122,6 @@ class AcceptGovernor {
   std::unordered_map<std::string, TokenBucket> buckets_;
   metrics::Counter& admitted_;
   metrics::Counter& rejected_;
-};
-
-/// The sharded-ingest spelling of the accept governor (DESIGN.md §14):
-/// admission control must act GLOBALLY — a reconnect storm spread across N
-/// SO_REUSEPORT listeners is still one storm — so every shard's accept
-/// callback consults this one mutex-guarded governor. Accepts are orders
-/// of magnitude rarer than reads, so the lock never sits on a data path
-/// (ingest token buckets stay shard-local and lock-free).
-class SharedAcceptGovernor {
- public:
-  SharedAcceptGovernor(double rate_per_sec, double burst = 0,
-                       metrics::Registry* registry = nullptr)
-      : governor_(rate_per_sec, burst, registry) {}
-
-  /// Thread-safe admission check for one connection attempt from `source`.
-  bool admit(const std::string& source, std::uint64_t now_ms) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return governor_.admit(source, now_ms);
-  }
-
-  std::size_t tracked_sources() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return governor_.tracked_sources();
-  }
-
- private:
-  std::mutex mutex_;
-  AcceptGovernor governor_;
 };
 
 }  // namespace gill::net

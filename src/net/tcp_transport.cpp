@@ -371,8 +371,7 @@ TcpListener::TcpListener(EventLoop& loop, metrics::Registry* registry)
 TcpListener::~TcpListener() { close(); }
 
 bool TcpListener::listen(const std::string& host, std::uint16_t port,
-                         AcceptCallback on_accept, int backlog,
-                         bool reuse_port) {
+                         AcceptCallback on_accept, int backlog) {
   close();
   sockaddr_storage addr{};
   const socklen_t addr_len = fill_addr(host, port, addr);
@@ -382,14 +381,6 @@ bool TcpListener::listen(const std::string& host, std::uint16_t port,
   if (fd_ < 0) return false;
   const int one = 1;
   setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (reuse_port &&
-      setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
-    // The caller asked for shared-port sharding; claiming the port without
-    // it would steal every connection from the sibling listeners.
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
   if (addr.ss_family == AF_INET6) {
     // Dual-stack where the host allows it: an explicit v6 bind should not
     // also claim the v4 port space decision — leave v6only off (default on

@@ -200,12 +200,9 @@ class TcpListener {
   /// starts accepting. `host` may be an IPv4 literal, an IPv6 literal, or
   /// a bracketed IPv6 literal ("[::1]"); v6 binds accept v4-mapped
   /// connections too (IPV6_V6ONLY off). Returns false on bind/listen
-  /// failure. With `reuse_port` the socket sets SO_REUSEPORT before bind,
-  /// so several listeners (one per ingest shard, DESIGN.md §14) share the
-  /// port and the kernel spreads incoming connections across them.
+  /// failure.
   bool listen(const std::string& host, std::uint16_t port,
-              AcceptCallback on_accept, int backlog = 128,
-              bool reuse_port = false);
+              AcceptCallback on_accept, int backlog = 128);
   void close();
 
   bool listening() const noexcept { return fd_ >= 0; }

@@ -1,17 +1,10 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "metrics/metrics.hpp"
 
 namespace gill::par {
-
-bool serial_forced() noexcept {
-  const char* value = std::getenv("GILL_ANALYSIS_SERIAL");
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
-}
 
 std::size_t auto_thread_count(std::size_t cap) noexcept {
   const std::size_t hardware = std::thread::hardware_concurrency();

@@ -34,11 +34,6 @@ class Registry;
 
 namespace gill::par {
 
-/// The GILL_ANALYSIS_SERIAL escape hatch: when the environment variable is
-/// set (and not "0"), every parallel analysis stage runs its serial path
-/// regardless of pool configuration. Read per call so tests can toggle it.
-bool serial_forced() noexcept;
-
 /// Picks a worker count for "auto" requests: hardware concurrency clamped
 /// to [1, cap] (the analysis stages stop scaling past a handful of cores at
 /// simulation sizes).

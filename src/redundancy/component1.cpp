@@ -84,7 +84,7 @@ Component1Result find_redundant_updates(const bgp::UpdateStream& training,
                                                 config.correlation_window);
     }
   };
-  if (pool != nullptr && !par::serial_forced() && selections.size() > 1) {
+  if (pool != nullptr && selections.size() > 1) {
     pool->parallel_for(selections.size(), analyze);
   } else {
     analyze(0, selections.size());

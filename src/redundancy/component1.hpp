@@ -75,7 +75,7 @@ struct Component1Result {
 /// the per-prefix correlation/greedy stage (steps 1-2) fans out across the
 /// workers; the output is byte-identical to the serial path (per-prefix work
 /// is independent, and the cross-prefix aggregation preserves prefix order).
-/// A null pool — or GILL_ANALYSIS_SERIAL in the environment — runs serially.
+/// A null pool runs serially.
 Component1Result find_redundant_updates(const bgp::UpdateStream& training,
                                         const Component1Config& config = {},
                                         par::ThreadPool* pool = nullptr);

@@ -1,6 +1,7 @@
 // The metrics registry: registration semantics, the Prometheus text
-// exposition (golden), JSON/Prometheus consistency, and a multi-threaded
-// increment smoke that the sanitizer build turns into a race detector.
+// exposition (golden), snapshot/Prometheus consistency, and a
+// multi-threaded increment smoke that the sanitizer build turns into a
+// race detector.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "feed/json.hpp"
 #include "metrics/metrics.hpp"
 
 namespace gill::metrics {
@@ -145,12 +145,11 @@ TEST(Exposition, EscapeLabelValue) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON/Prometheus consistency: both expositions are views of the same
-// snapshot, so every JSON sample must appear verbatim in the text format
-// and agree with the typed snapshot().
+// Snapshot/Prometheus consistency: the text exposition is a view of the
+// typed snapshot(), so every sample's series appears verbatim in it.
 // ---------------------------------------------------------------------------
 
-TEST(Exposition, JsonMatchesSnapshotAndPrometheus) {
+TEST(Exposition, SnapshotMatchesPrometheus) {
   Registry registry;
   for (int vp = 0; vp < 5; ++vp) {
     registry
@@ -163,56 +162,37 @@ TEST(Exposition, JsonMatchesSnapshotAndPrometheus) {
       registry.histogram("gill_test_latency_us", "Latency", {}, 10);
   for (std::uint64_t i = 0; i < 300; ++i) latency.observe(i * i % 4096);
 
-  const auto parsed = feed::Json::parse(registry.expose_json());
-  ASSERT_TRUE(parsed.has_value());
-  const feed::Json* samples = parsed->find("metrics");
-  ASSERT_NE(samples, nullptr);
-  ASSERT_TRUE(samples->is_array());
-
   const auto snapshot = registry.snapshot();
-  ASSERT_EQ(samples->as_array().size(), snapshot.size());
+  ASSERT_EQ(snapshot.size(), 7u);
   const std::string text = registry.expose_prometheus();
 
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    const feed::Json& sample = samples->as_array()[i];
-    const MetricSnapshot& truth = snapshot[i];
-    EXPECT_EQ(sample.find("name")->as_string(), truth.name);
-    EXPECT_EQ(sample.find("type")->as_string(), to_string(truth.type));
-    ASSERT_EQ(sample.find("labels")->as_object().size(), truth.labels.size());
-    for (const auto& [label, value] : truth.labels) {
-      const feed::Json* got = sample.find("labels")->find(label);
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(got->as_string(), value);
+  for (const MetricSnapshot& truth : snapshot) {
+    std::string labels;
+    if (!truth.labels.empty()) {
+      labels += '{';
+      for (std::size_t l = 0; l < truth.labels.size(); ++l) {
+        if (l > 0) labels += ',';
+        labels += truth.labels[l].first + "=\"" +
+                  escape_label_value(truth.labels[l].second) + '"';
+      }
+      labels += '}';
     }
     if (truth.type == MetricType::kHistogram) {
-      EXPECT_EQ(sample.find("count")->as_number(),
-                static_cast<double>(truth.count));
-      EXPECT_EQ(sample.find("sum")->as_number(),
-                static_cast<double>(truth.sum));
-      const auto& buckets = sample.find("buckets")->as_array();
-      ASSERT_EQ(buckets.size(), truth.buckets.size());
+      const std::string count = truth.name + "_count" + labels + ' ' +
+                                std::to_string(truth.count) + '\n';
+      const std::string sum = truth.name + "_sum" + labels + ' ' +
+                              std::to_string(truth.sum) + '\n';
+      EXPECT_NE(text.find(count), std::string::npos) << count;
+      EXPECT_NE(text.find(sum), std::string::npos) << sum;
       std::uint64_t previous = 0;
-      for (std::size_t b = 0; b < buckets.size(); ++b) {
-        const auto cumulative = static_cast<std::uint64_t>(
-            buckets[b].find("count")->as_number());
-        EXPECT_EQ(cumulative, truth.buckets[b].cumulative);
-        EXPECT_GE(cumulative, previous) << "buckets must be cumulative";
-        EXPECT_LE(cumulative, truth.count);
-        previous = cumulative;
+      for (const auto& bucket : truth.buckets) {
+        EXPECT_GE(bucket.cumulative, previous) << "buckets must be cumulative";
+        EXPECT_LE(bucket.cumulative, truth.count);
+        previous = bucket.cumulative;
       }
     } else {
-      EXPECT_EQ(sample.find("value")->as_number(), truth.value);
       // The exact scrape line for this child exists in the text format.
-      std::string line = truth.name;
-      if (!truth.labels.empty()) {
-        line += '{';
-        for (std::size_t l = 0; l < truth.labels.size(); ++l) {
-          if (l > 0) line += ',';
-          line += truth.labels[l].first + "=\"" +
-                  escape_label_value(truth.labels[l].second) + '"';
-        }
-        line += '}';
-      }
+      const std::string line = truth.name + labels;
       EXPECT_NE(text.find(line + ' '), std::string::npos) << line;
     }
   }
@@ -245,68 +225,10 @@ TEST(Concurrency, ParallelIncrementsAllLand) {
   EXPECT_EQ(histogram.count(), kThreads * kPerThread);
 }
 
-// ---------------------------------------------------------------------------
-// Per-metric last-update timestamps: stamped by every counter/gauge write,
-// exposed in the JSON exposition only (the Prometheus text is golden).
-// ---------------------------------------------------------------------------
-
-TEST(Timestamps, CounterAndGaugeStampWrites) {
-  Registry registry;
-  Counter& counter = registry.counter("gill_test_stamped_total", "Stamped");
-  Gauge& gauge = registry.gauge("gill_test_stamped", "Stamped");
-  EXPECT_EQ(counter.last_update_ms(), 0) << "never written yet";
-  EXPECT_EQ(gauge.last_update_ms(), 0);
-
-  counter.inc();
-  const std::int64_t first = counter.last_update_ms();
-  EXPECT_GT(first, 0);
-  counter.inc(5);
-  EXPECT_GE(counter.last_update_ms(), first) << "coarse clock is monotonic";
-
-  gauge.set(1.0);
-  const std::int64_t set_stamp = gauge.last_update_ms();
-  EXPECT_GT(set_stamp, 0);
-  gauge.add(2.0);
-  EXPECT_GE(gauge.last_update_ms(), set_stamp);
-
-  const auto snapshot = registry.snapshot();
-  for (const auto& sample : snapshot) {
-    EXPECT_GT(sample.updated_ms, 0) << sample.name;
-  }
-}
-
-TEST(Timestamps, JsonExposesUpdatedMsPrometheusDoesNot) {
-  Registry registry;
-  registry.counter("gill_test_events_total", "Events").inc(3);
-  registry.gauge("gill_test_level", "Level").set(7);
-  registry.histogram("gill_test_lat_us", "Latency", {}, 4).observe(2);
-
-  const auto parsed = feed::Json::parse(registry.expose_json());
-  ASSERT_TRUE(parsed.has_value());
-  const auto snapshot = registry.snapshot();
-  const auto& samples = parsed->find("metrics")->as_array();
-  ASSERT_EQ(samples.size(), snapshot.size());
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    const feed::Json* stamp = samples[i].find("updated_ms");
-    if (snapshot[i].type == MetricType::kHistogram) {
-      EXPECT_EQ(stamp, nullptr) << "histograms carry no timestamp";
-    } else {
-      ASSERT_NE(stamp, nullptr) << snapshot[i].name;
-      EXPECT_EQ(static_cast<std::int64_t>(stamp->as_number()),
-                snapshot[i].updated_ms);
-      EXPECT_GT(stamp->as_number(), 0.0);
-    }
-  }
-  // The text exposition is consumed by version-pinned scrapers: no new
-  // fields, ever (the golden test above freezes the exact bytes).
-  EXPECT_EQ(registry.expose_prometheus().find("updated_ms"),
-            std::string::npos);
-}
-
 TEST(Concurrency, HistogramObserveWhileScraping) {
-  // N writer threads hammer one histogram (plus a stamped counter) while
-  // this thread scrapes both expositions: under TSan this verifies the
-  // whole exposition path against the relaxed-atomic write path.
+  // N writer threads hammer one histogram (plus a counter) while this
+  // thread scrapes the exposition: under TSan this verifies the whole
+  // exposition path against the relaxed-atomic write path.
   Registry registry;
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 20'000;
@@ -326,7 +248,7 @@ TEST(Concurrency, HistogramObserveWhileScraping) {
   for (int scrape = 0; scrape < 50; ++scrape) {
     const std::string text = registry.expose_prometheus();
     EXPECT_NE(text.find("gill_test_lat_us_count"), std::string::npos);
-    EXPECT_FALSE(registry.expose_json().empty());
+    EXPECT_NE(text.find("gill_test_obs_total"), std::string::npos);
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(histogram.count(), kThreads * kPerThread);

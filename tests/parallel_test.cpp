@@ -1,12 +1,11 @@
 // The parallel analysis engine (DESIGN.md §9): ThreadPool semantics, the
 // byte-determinism guarantee of the parallel pipeline stages at 1/2/8
-// threads, the GILL_ANALYSIS_SERIAL escape hatch and the cross-refresh score
+// threads against the null-pool serial path, and the cross-refresh score
 // cache. The asynchronous filter refresh itself is the merge plane's and is
 // tested in sharded_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <utility>
@@ -71,16 +70,6 @@ TEST(ThreadPool, DestructorRunsEveryQueuedJob) {
     }
   }  // drain-and-join
   EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(ThreadPool, SerialEscapeHatchReadsTheEnvironment) {
-  ::unsetenv("GILL_ANALYSIS_SERIAL");
-  EXPECT_FALSE(par::serial_forced());
-  ::setenv("GILL_ANALYSIS_SERIAL", "1", 1);
-  EXPECT_TRUE(par::serial_forced());
-  ::setenv("GILL_ANALYSIS_SERIAL", "0", 1);
-  EXPECT_FALSE(par::serial_forced()) << "\"0\" means off, like a bool flag";
-  ::unsetenv("GILL_ANALYSIS_SERIAL");
 }
 
 TEST(ThreadPool, AutoThreadCountIsClamped) {
@@ -178,19 +167,6 @@ TEST(Determinism, Component1MatchesSerialAtEveryThreadCount) {
     EXPECT_EQ(serial.nonredundant, parallel.nonredundant);
     EXPECT_EQ(serial.mean_rp, parallel.mean_rp);
   }
-}
-
-TEST(Determinism, SerialEnvDisablesThePoolPath) {
-  const PipelineWorld& world = pipeline_world();
-  par::ThreadPool pool(4);
-  ::setenv("GILL_ANALYSIS_SERIAL", "1", 1);
-  const auto forced = red::find_redundant_updates(world.training, {}, &pool);
-  const std::uint64_t shards_after_forced = pool.shards_executed();
-  ::unsetenv("GILL_ANALYSIS_SERIAL");
-  const auto serial = red::find_redundant_updates(world.training);
-  EXPECT_EQ(shards_after_forced, 0u) << "the hatch bypasses the pool";
-  EXPECT_EQ(forced.redundant, serial.redundant);
-  EXPECT_EQ(forced.mean_rp, serial.mean_rp);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,29 +1,23 @@
-// Sharded ingest plane (DESIGN.md §14): the determinism contract, the
-// teardown races, decode on arrival (no update waits for a tick), and the
-// merge plane as the collector's only filter-refresh schedule (trigger,
-// deferral, the job in flight, metrics, and one oracle shared with
-// Platform::refresh_filters).
-//
-// The contract under test: the merged mirror and the merged RIB snapshot
-// handed to the analysis pipeline are byte-identical regardless of how
-// many ingest shards the sessions landed on. The test pins the two free
-// variables the contract depends on — VP ids (sessions connect one at a
-// time, so the global allocator hands out 0..N-1 in connect order) and
-// timestamps (a fixed injected clock) — and then compares MRT encodings
-// across 1-, 2- and 4-shard fleets fed the same traffic.
+// The collector's ingest plane (DESIGN.md §14): the teardown races, decode
+// on arrival (no update waits for a tick), and the merge plane as the
+// collector's only filter-refresh schedule (trigger, deferral, the job in
+// flight, metrics, and one oracle shared with Platform::refresh_filters).
 //
 // The race tests drive abrupt peer disconnects while the control thread
-// harvests mirrors and runs merge refreshes on the analysis pool; under a
-// GILL_SANITIZE=thread build (`ctest -L parallel`) TSan turns them into
-// data-race detectors. The flap-storm soak is env-scaled by
-// GILL_SOAK_PEERS / GILL_SOAK_ROUNDS and joins tools/soak.sh.
+// harvests the mirror and runs merge refreshes on the analysis pool; under
+// a GILL_SANITIZE=thread build (`ctest -L parallel`) TSan turns them into
+// data-race detectors across the ingest thread, the pool and the control
+// thread. The flap-storm soak is env-scaled by GILL_SOAK_PEERS /
+// GILL_SOAK_ROUNDS and joins tools/soak.sh.
+//
+// Every wait is bounded by a steady-clock deadline (pump_until), not by a
+// loop count, so a condition that is never met fails in seconds.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <future>
 #include <memory>
 #include <span>
@@ -33,7 +27,6 @@
 
 #include "collector/sharded.hpp"
 #include "daemon/daemon.hpp"
-#include "mrt/mrt.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
 #include "parallel/thread_pool.hpp"
@@ -42,6 +35,13 @@ namespace gill::collect {
 namespace {
 
 constexpr bgp::Timestamp kNow = 7777;
+/// Budget of one wait on loopback traffic; generous for sanitizer builds.
+constexpr auto kWait = std::chrono::seconds(20);
+
+std::chrono::steady_clock::time_point within(
+    std::chrono::steady_clock::duration budget) {
+  return std::chrono::steady_clock::now() + budget;
+}
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* value = std::getenv(name);
@@ -50,15 +50,9 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
 }
 
-std::vector<std::uint8_t> stream_bytes(const bgp::UpdateStream& stream) {
-  mrt::Writer writer;
-  for (const auto& update : stream) writer.write_update(update);
-  return writer.buffer();
-}
-
 /// A fleet of loopback FakePeer clients against one ShardedPlatform, all
-/// client ends driven from the test thread (the platform's shards run on
-/// their own threads).
+/// client ends driven from the test thread (the platform's sessions run on
+/// its ingest thread).
 struct ClientFleet {
   net::EventLoop loop;
   metrics::Registry registry;
@@ -75,119 +69,58 @@ struct ClientFleet {
     }
   }
 
+  /// Pumps the client ends until `done()` or `deadline`; true when done.
+  template <typename Done>
+  bool pump_until(std::chrono::steady_clock::time_point deadline,
+                  Done&& done) {
+    while (!done()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      pump();
+    }
+    return true;
+  }
+
+  /// Dials one more peer without waiting for the session.
+  daemon::FakePeer* dial(ShardedPlatform& platform, bgp::AsNumber as) {
+    auto transport = std::make_unique<net::TcpTransport>(
+        loop, net::Role::kPeerSide, &registry);
+    if (!transport->dial("127.0.0.1", platform.port())) return nullptr;
+    peers.push_back(std::make_unique<daemon::FakePeer>(as, *transport));
+    transports.push_back(std::move(transport));
+    return peers.back().get();
+  }
+
   /// Connects one more peer and waits until BOTH ends consider the
-  /// session up. Serial connects make VP ids independent of shard count:
-  /// the global allocator assigns them in connect order.
+  /// session up. Serial connects assign VP ids in connect order.
   bool connect(ShardedPlatform& platform, bgp::AsNumber as) {
     // peer_count() is monotonic (dead sessions stay registered), so wait
     // for it to grow by one rather than match the live-client count.
     const std::size_t want = platform.peer_count() + 1;
-    auto transport = std::make_unique<net::TcpTransport>(
-        loop, net::Role::kPeerSide, &registry);
-    if (!transport->dial("127.0.0.1", platform.port())) return false;
-    peers.push_back(std::make_unique<daemon::FakePeer>(as, *transport));
-    transports.push_back(std::move(transport));
-    for (int i = 0; i < 50000; ++i) {
-      if (peers.back()->established() && platform.peer_count() >= want) {
-        return true;
-      }
-      pump();
-    }
-    return false;
+    daemon::FakePeer* peer = dial(platform, as);
+    return peer != nullptr && pump_until(within(kWait), [&] {
+             return peer->established() && platform.peer_count() >= want;
+           });
   }
 
-  /// FIN from the client side: the far shard sees an abrupt disconnect.
+  /// Pumps until the platform has stored `want` updates; true when it has.
+  bool await_stored(const ShardedPlatform& platform, std::size_t want) {
+    return pump_until(within(kWait),
+                      [&] { return platform.stored_updates() >= want; });
+  }
+
+  /// FIN from the client side: the collector sees an abrupt disconnect.
   void drop(std::size_t index) {
     peers[index].reset();
     transports[index].reset();
   }
 };
 
-/// Runs the canonical traffic pattern against a `shard_count` fleet and
-/// returns the (merged mirror, merged RIB dump) MRT encodings.
-struct MergedBytes {
-  std::vector<std::uint8_t> mirror;
-  std::vector<std::uint8_t> rib;
-  std::size_t shards_used = 0;
-};
-
-MergedBytes run_canonical_traffic(std::size_t shard_count,
-                                  std::size_t peer_count,
-                                  std::size_t bursts_per_peer) {
-  constexpr std::size_t kBurst = 10;
-  MergedBytes out;
-
-  metrics::Registry registry;
-  ShardedPlatformConfig config;
-  config.shards = shard_count;
-  config.platform.local_as = 65000;
-  config.platform.registry = &registry;
-  config.component1_refresh = 0;
-  config.rib_dump_interval = 8 * 3600;  // enables RIB tracking; > kNow, so
-                                        // no periodic snapshot ever fires
-  config.clock = [] { return kNow; };
-  ShardedPlatform platform(config);
-  EXPECT_TRUE(platform.listen("127.0.0.1", 0));
-  platform.start(/*tick_ms=*/1);
-  out.shards_used = platform.shard_count();
-
-  ClientFleet fleet;
-  for (std::size_t i = 0; i < peer_count; ++i) {
-    EXPECT_TRUE(
-        fleet.connect(platform, static_cast<bgp::AsNumber>(65001 + i)))
-        << "peer " << i << " never established (" << shard_count
-        << " shards)";
-  }
-
-  for (std::size_t round = 0; round < bursts_per_peer; ++round) {
-    for (std::size_t i = 0; i < peer_count; ++i) {
-      fleet.peers[i]->send_synthetic_burst(
-          kBurst, (10u << 24) | (static_cast<std::uint32_t>(i) << 16) |
-                      (static_cast<std::uint32_t>(round) << 8));
-    }
-  }
-  const std::size_t expected = peer_count * bursts_per_peer * kBurst;
-  for (int i = 0; i < 200000 && platform.stored_updates() < expected; ++i) {
-    fleet.pump();
-  }
-  EXPECT_EQ(platform.stored_updates(), expected);
-
-  out.rib = stream_bytes(platform.merged_rib_dump(kNow));
-  out.mirror = stream_bytes(platform.take_merged_mirror());
-  platform.stop();
-  return out;
-}
-
-TEST(Sharded, MergedSnapshotsByteIdenticalAcrossShardCounts) {
-  const std::size_t peer_count = 12;
-  const std::size_t bursts = 4;
-
-  const MergedBytes one = run_canonical_traffic(1, peer_count, bursts);
-  const MergedBytes two = run_canonical_traffic(2, peer_count, bursts);
-  const MergedBytes four = run_canonical_traffic(4, peer_count, bursts);
-  ASSERT_EQ(one.shards_used, 1u);
-  ASSERT_EQ(two.shards_used, 2u);
-  ASSERT_EQ(four.shards_used, 4u);
-
-  ASSERT_FALSE(one.mirror.empty());
-  EXPECT_EQ(one.mirror, two.mirror)
-      << "merged mirror depends on the shard count (1 vs 2)";
-  EXPECT_EQ(one.mirror, four.mirror)
-      << "merged mirror depends on the shard count (1 vs 4)";
-  ASSERT_FALSE(one.rib.empty());
-  EXPECT_EQ(one.rib, two.rib)
-      << "merged RIB dump depends on the shard count (1 vs 2)";
-  EXPECT_EQ(one.rib, four.rib)
-      << "merged RIB dump depends on the shard count (1 vs 4)";
-}
-
 TEST(Sharded, DisconnectDuringMergeIsSafe) {
   const std::size_t peer_count = 8;
 
   metrics::Registry registry;
-  par::ThreadPool pool(2);  // merge jobs race the ingest threads
+  par::ThreadPool pool(2);  // merge jobs race the ingest thread
   ShardedPlatformConfig config;
-  config.shards = 4;
   config.platform.local_as = 65000;
   config.platform.registry = &registry;
   config.component1_refresh = 0;
@@ -206,12 +139,9 @@ TEST(Sharded, DisconnectDuringMergeIsSafe) {
     fleet.peers[i]->send_synthetic_burst(
         50, (10u << 24) | (static_cast<std::uint32_t>(i) << 16));
   }
-  for (int i = 0; i < 100000 && platform.stored_updates() < peer_count * 50;
-       ++i) {
-    fleet.pump();
-  }
+  ASSERT_TRUE(fleet.await_stored(platform, peer_count * 50));
 
-  // Kick off an async merge over the harvested mirrors, then yank half the
+  // Kick off an async merge over the harvested mirror, then yank half the
   // sessions mid-flight while the control plane keeps harvesting.
   platform.refresh_filters(kNow);
   for (std::size_t i = 0; i < peer_count; i += 2) {
@@ -230,24 +160,18 @@ TEST(Sharded, DisconnectDuringMergeIsSafe) {
     fleet.peers[i]->send_synthetic_burst(
         10, (172u << 24) | (static_cast<std::uint32_t>(i) << 16));
   }
-  for (int i = 0;
-       i < 100000 &&
-       platform.stored_updates() < before + (peer_count / 2) * 10;
-       ++i) {
-    fleet.pump();
-  }
+  fleet.await_stored(platform, before + (peer_count / 2) * 10);
   EXPECT_EQ(platform.stored_updates(), before + (peer_count / 2) * 10);
   platform.stop();
 }
 
-TEST(Sharded, FlapStormAcrossShardsSoak) {
+TEST(Sharded, FlapStormSoak) {
   const std::size_t peer_count = env_size("GILL_SOAK_PEERS", 16);
   const std::size_t rounds = env_size("GILL_SOAK_ROUNDS", 2);
 
   metrics::Registry registry;
   par::ThreadPool pool(2);
   ShardedPlatformConfig config;
-  config.shards = 4;
   config.platform.local_as = 65000;
   config.platform.registry = &registry;
   config.component1_refresh = 0;
@@ -280,9 +204,7 @@ TEST(Sharded, FlapStormAcrossShardsSoak) {
                   (static_cast<std::uint32_t>(round & 0xff) << 8));
       sent += 20;
     }
-    for (int i = 0; i < 50000 && accounted() < sent; ++i) {
-      fleet.pump();
-    }
+    fleet.pump_until(within(kWait), [&] { return accounted() >= sent; });
     ASSERT_EQ(accounted(), sent) << "round " << round;
 
     // The storm: every other session FINs and a replacement dials in
@@ -310,7 +232,7 @@ TEST(Sharded, FlapStormAcrossShardsSoak) {
 // timers.
 // ---------------------------------------------------------------------------
 
-/// Counts the updates sessions keep (the archive tee), from any shard.
+/// Counts the updates sessions keep (the archive tee, on the ingest thread).
 class CountingSink : public mrt::Sink {
  public:
   void store(const bgp::Update&) override { updates_.fetch_add(1); }
@@ -319,33 +241,6 @@ class CountingSink : public mrt::Sink {
 
  private:
   std::atomic<std::size_t> updates_{0};
-};
-
-/// One loopback peer against `platform`, driven from the test thread.
-struct LoopbackPeer {
-  ClientFleet fleet;
-  daemon::FakePeer* peer = nullptr;
-
-  bool dial(ShardedPlatform& platform, bgp::AsNumber as) {
-    auto transport = std::make_unique<net::TcpTransport>(
-        fleet.loop, net::Role::kPeerSide, &fleet.registry);
-    if (!transport->dial("127.0.0.1", platform.port())) return false;
-    fleet.peers.push_back(std::make_unique<daemon::FakePeer>(as, *transport));
-    fleet.transports.push_back(std::move(transport));
-    peer = fleet.peers.back().get();
-    return true;
-  }
-
-  /// Pumps the client end until `done()` or `deadline`; true when done.
-  template <typename Done>
-  bool pump_until(std::chrono::steady_clock::time_point deadline,
-                  Done&& done) {
-    while (!done()) {
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      fleet.pump();
-    }
-    return true;
-  }
 };
 
 bgp::Update probe_update() {
@@ -358,11 +253,10 @@ bgp::Update probe_update() {
 TEST(DecodeOnArrival, DeliveryWaitsForNoTick) {
   metrics::Registry registry;
   ShardedPlatformConfig config;
-  config.shards = 2;
   config.platform.registry = &registry;
   config.component1_refresh = 0;
   config.clock = [] { return kNow; };
-  CountingSink archive;               // outlives the shard threads
+  CountingSink archive;               // outlives the ingest thread
   std::vector<bgp::Update> streamed;  // filled by drain_stream(), here
   ShardedPlatform platform(config);
   platform.set_archive(&archive);
@@ -371,20 +265,19 @@ TEST(DecodeOnArrival, DeliveryWaitsForNoTick) {
         streamed.insert(streamed.end(), batch.begin(), batch.end());
       });
   ASSERT_TRUE(platform.listen("127.0.0.1", 0));
-  platform.start(/*tick_ms=*/60'000);  // no shard tick fires in this test
+  platform.start(/*tick_ms=*/60'000);  // no ingest tick fires in this test
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(1);
-  LoopbackPeer client;
-  ASSERT_TRUE(client.dial(platform, 65001));
+  const auto deadline = within(std::chrono::seconds(1));
+  ClientFleet client;
+  daemon::FakePeer* peer = client.dial(platform, 65001);
+  ASSERT_NE(peer, nullptr);
   // The collector's KEEPALIVE answers the peer's OPEN: it was decoded on
   // arrival, not at a tick.
-  ASSERT_TRUE(client.pump_until(deadline,
-                                [&] { return client.peer->established(); }))
+  ASSERT_TRUE(client.pump_until(deadline, [&] { return peer->established(); }))
       << "the peer's OPEN was not answered within 1 s";
 
   const bgp::Update update = probe_update();
-  client.peer->send_update(update);
+  peer->send_update(update);
   ASSERT_TRUE(client.pump_until(deadline, [&] {
     platform.drain_stream();
     return archive.updates() == 1 && streamed.size() == 1;
@@ -400,7 +293,6 @@ TEST(DecodeOnArrival, ShedSessionIsNotDecoded) {
   std::atomic<std::size_t> memory{100};
   metrics::Registry registry;
   ShardedPlatformConfig config;
-  config.shards = 1;
   config.platform.registry = &registry;
   config.platform.overload.mem_high_watermark = 1000;
   config.platform.overload.max_shed_fraction = 1.0;
@@ -413,35 +305,30 @@ TEST(DecodeOnArrival, ShedSessionIsNotDecoded) {
   ASSERT_TRUE(platform.listen("127.0.0.1", 0));
   platform.start(/*tick_ms=*/60'000);
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  LoopbackPeer client;
-  ASSERT_TRUE(client.dial(platform, 65001));
-  ASSERT_TRUE(client.pump_until(deadline,
-                                [&] { return client.peer->established(); }));
+  const auto deadline = within(std::chrono::seconds(5));
+  ClientFleet client;
+  daemon::FakePeer* peer = client.dial(platform, 65001);
+  ASSERT_NE(peer, nullptr);
+  ASSERT_TRUE(client.pump_until(deadline, [&] { return peer->established(); }));
 
-  // Memory spikes: the control tick samples it and the shard's next step
-  // sheds the only session.
+  // Memory spikes: the platform's next step reads the probe and sheds the
+  // only session.
   memory = 2000;
-  platform.control_tick(kNow);
-  platform.with_shard(0, [](Platform& shard) { shard.step(kNow); });
+  platform.with_platform([](Platform& ingest) { ingest.step(kNow); });
   ASSERT_EQ(platform.health_snapshot().shed, 1u);
 
-  client.peer->send_update(probe_update());
+  peer->send_update(probe_update());
   const auto queued = [&] {
-    return platform.with_shard(0, [](Platform& shard) {
-      return shard.transport_of(0).to_daemon.size();
+    return platform.with_platform([](Platform& ingest) {
+      return ingest.transport_of(0).to_daemon.size();
     });
   };
   // The bytes reach the session's queue, and the readable event that
   // queued them decoded nothing.
   ASSERT_TRUE(client.pump_until(deadline, [&] { return queued() > 0; }));
-  EXPECT_EQ(platform.with_shard(0,
-                                [](Platform& shard) {
-                                  return shard.daemon_of(0)
-                                      .stats()
-                                      .updates_received;
-                                }),
+  EXPECT_EQ(platform.with_platform([](Platform& ingest) {
+              return ingest.daemon_of(0).stats().updates_received;
+            }),
             0u);
   EXPECT_EQ(archive.updates(), 0u);
   platform.stop();
@@ -453,44 +340,29 @@ TEST(DecodeOnArrival, ShedSessionIsNotDecoded) {
 
 constexpr bgp::Timestamp kRefreshAt = 10'000;
 
-/// In-process sessions (FakePeer remotes over the in-memory transport)
-/// spread round-robin over a fleet's shards. `on_shard(s, fn)` runs `fn`
-/// on shard s's Platform: a lone Platform is the one-shard case, and a
-/// ShardedPlatform that is never start()ed runs every with_shard() call
-/// inline, so the traffic and its timestamps are deterministic in both.
+/// The ingest platform of a collector that is never start()ed: every
+/// with_platform() call runs inline on the test thread, so in-process
+/// sessions and their timestamps are deterministic.
+Platform& ingest_platform(ShardedPlatform& collector) {
+  return *collector.with_platform([](Platform& platform) { return &platform; });
+}
+
+/// In-process sessions (FakePeer remotes over the in-memory transport) on
+/// one Platform.
 class InMemorySessions {
  public:
-  using OnShard = std::function<void(std::size_t,
-                                     const std::function<void(Platform&)>&)>;
-
-  explicit InMemorySessions(Platform& platform)
-      : shards_(1), on_shard_([&platform](std::size_t, const auto& fn) {
-          fn(platform);
-        }) {}
-  explicit InMemorySessions(ShardedPlatform& platform)
-      : shards_(platform.shard_count()),
-        on_shard_([&platform](std::size_t shard, const auto& fn) {
-          platform.with_shard(shard, fn);
-        }) {}
+  explicit InMemorySessions(Platform& platform) : platform_(&platform) {}
 
   /// Adds `count` peers (VP ids 0..count-1 in order) and establishes them.
   void add_peers(std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t shard = i % shards_;
-      on_shard_(shard, [&](Platform& platform) {
-        sessions_.emplace_back(
-            shard,
-            platform.add_peer(static_cast<bgp::AsNumber>(65010 + i), 0));
-      });
+      vps_.push_back(
+          platform_->add_peer(static_cast<bgp::AsNumber>(65010 + i), 0));
     }
     step(1);
   }
 
-  void step(bgp::Timestamp now) {
-    for (std::size_t shard = 0; shard < shards_; ++shard) {
-      on_shard_(shard, [now](Platform& platform) { platform.step(now); });
-    }
-  }
+  void step(bgp::Timestamp now) { platform_->step(now); }
 
   /// Redundant traffic: every VP announces the same correlated churn on
   /// two prefixes, six rounds `spacing` seconds apart from `base`.
@@ -501,35 +373,27 @@ class InMemorySessions {
         update.prefix = net::Prefix::parse(prefix).value();
         update.path = round % 2 == 0 ? bgp::AsPath{65010, 65020}
                                      : bgp::AsPath{65010, 65021, 65020};
-        for (const auto& [shard, vp] : sessions_) {
-          on_shard_(shard, [&, vp = vp](Platform& platform) {
-            platform.remote(vp).send_update(update);
-          });
-        }
+        for (const VpId vp : vps_) platform_->remote(vp).send_update(update);
         step(static_cast<bgp::Timestamp>(base + round * spacing));
       }
     }
   }
 
  private:
-  std::size_t shards_;
-  OnShard on_shard_;
-  std::vector<std::pair<std::size_t, VpId>> sessions_;  // (shard, vp)
+  Platform* platform_;
+  std::vector<VpId> vps_;
 };
 
-/// Sum of every shard's mirror (the next window).
-std::size_t mirrored_across_shards(ShardedPlatform& platform) {
-  std::size_t total = 0;
-  for (std::size_t shard = 0; shard < platform.shard_count(); ++shard) {
-    total += platform.with_shard(
-        shard, [](Platform& p) { return p.mirror().size(); });
-  }
-  return total;
+/// The ingest platform's mirror (the next window).
+std::size_t mirrored(ShardedPlatform& platform) {
+  return platform.with_platform(
+      [](Platform& ingest) { return ingest.mirror().size(); });
 }
 
 // The identity spec for every refresh path: one in-memory Platform refreshed
-// synchronously, and 1-, 2- and 4-shard merge planes refreshing inline and
-// on a 2-worker pool, all install byte-identical published documents.
+// synchronously, and the merge plane refreshing inline and on a 2-worker
+// pool, all install byte-identical published documents. Each merge-plane
+// refresh is recorded once: one refresh counted, one duration observed.
 TEST(MergePlane, EveryRefreshPathInstallsTheSameFilters) {
   constexpr std::size_t kPeers = 4;
   Platform reference;
@@ -542,35 +406,41 @@ TEST(MergePlane, EveryRefreshPathInstallsTheSameFilters) {
   const std::string anchor_doc = reference.published_anchor_document();
 
   par::ThreadPool pool(2);
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    for (par::ThreadPool* executor : {static_cast<par::ThreadPool*>(nullptr),
-                                      &pool}) {
-      const std::string run = std::to_string(shards) + " shards, " +
-                              (executor != nullptr ? "pool" : "inline");
-      metrics::Registry registry;
-      ShardedPlatformConfig config;
-      config.shards = shards;
-      config.platform.registry = &registry;
-      config.component1_refresh = 0;
-      config.analysis_pool = executor;
-      ShardedPlatform platform(config);
-      InMemorySessions sessions(platform);
-      sessions.add_peers(kPeers);
-      sessions.feed_window(2, 1000);
+  for (par::ThreadPool* executor :
+       {static_cast<par::ThreadPool*>(nullptr), &pool}) {
+    const std::string run = executor != nullptr ? "pool" : "inline";
+    metrics::Registry registry;
+    ShardedPlatformConfig config;
+    config.platform.registry = &registry;
+    config.component1_refresh = 0;
+    config.analysis_pool = executor;
+    ShardedPlatform platform(config);
+    InMemorySessions sessions(ingest_platform(platform));
+    sessions.add_peers(kPeers);
+    sessions.feed_window(2, 1000);
 
-      platform.refresh_filters(kRefreshAt);
-      platform.wait_for_refresh();
-      ASSERT_EQ(platform.filter_generation(), 1u) << run;
-      EXPECT_EQ(platform.published_filter_document(), filter_doc) << run;
-      EXPECT_EQ(platform.published_anchor_document(), anchor_doc) << run;
-      for (std::size_t shard = 0; shard < shards; ++shard) {
-        platform.with_shard(shard, [&](Platform& installed) {
-          EXPECT_EQ(installed.filter_generation(), 1u) << run;
-          EXPECT_EQ(installed.published_filter_document(), filter_doc) << run;
-          EXPECT_EQ(installed.published_anchor_document(), anchor_doc) << run;
-        });
-      }
+    platform.refresh_filters(kRefreshAt);
+    if (executor == nullptr) {
+      EXPECT_FALSE(platform.refresh_in_flight())
+          << "no pool runs the refresh on the control thread";
     }
+    platform.wait_for_refresh();
+    ASSERT_EQ(platform.filter_generation(), 1u) << run;
+    EXPECT_EQ(platform.published_filter_document(), filter_doc) << run;
+    EXPECT_EQ(platform.published_anchor_document(), anchor_doc) << run;
+    platform.with_platform([&](Platform& installed) {
+      EXPECT_EQ(installed.filter_generation(), 1u) << run;
+      EXPECT_EQ(installed.published_filter_document(), filter_doc) << run;
+      EXPECT_EQ(installed.published_anchor_document(), anchor_doc) << run;
+    });
+    EXPECT_EQ(registry.counter_total("gill_collector_filter_refreshes_total"),
+              1u)
+        << run;
+    EXPECT_EQ(registry
+                  .histogram("gill_collector_filter_refresh_duration_us", "")
+                  .count(),
+              1u)
+        << run;
   }
 }
 
@@ -578,7 +448,6 @@ TEST(MergePlane, SessionsKeepFlowingWhileARefreshIsInFlight) {
   metrics::Registry registry;
   par::ThreadPool pool(1);
   ShardedPlatformConfig config;
-  config.shards = 2;
   config.platform.registry = &registry;
   config.component1_refresh = 0;
   config.analysis_pool = &pool;
@@ -591,16 +460,14 @@ TEST(MergePlane, SessionsKeepFlowingWhileARefreshIsInFlight) {
   ASSERT_TRUE(fleet.connect(platform, 65001));
   ASSERT_TRUE(fleet.connect(platform, 65002));
   const auto send_window = [&](std::size_t per_peer, std::uint32_t base) {
-    // Counted before sending: the shards decode on arrival, so a count
-    // taken after the sends may already include some of them.
+    // Counted before sending: the ingest loop decodes on arrival, so a
+    // count taken after the sends may already include some of them.
     const std::size_t want = platform.stored_updates() + 2 * per_peer;
     for (std::size_t i = 0; i < fleet.peers.size(); ++i) {
       fleet.peers[i]->send_synthetic_burst(
           per_peer, base | (static_cast<std::uint32_t>(i) << 16));
     }
-    for (int i = 0; i < 100000 && platform.stored_updates() < want; ++i) {
-      fleet.pump();
-    }
+    fleet.await_stored(platform, want);
     ASSERT_EQ(platform.stored_updates(), want);
   };
   send_window(10, 10u << 24);
@@ -612,18 +479,17 @@ TEST(MergePlane, SessionsKeepFlowingWhileARefreshIsInFlight) {
   ASSERT_TRUE(platform.refresh_in_flight());
   EXPECT_EQ(platform.filter_generation(), 0u) << "nothing installed yet";
 
-  // The shards keep serving sessions: a second window reaches the RIBs,
-  // the stored-update counts and the mirror while the job waits.
+  // The ingest loop keeps serving sessions: a second window reaches the
+  // RIBs, the stored-update counts and the mirror while the job waits.
   send_window(15, 11u << 24);
   EXPECT_EQ(platform.merged_rib_dump(kNow).size(), 50u);
-  EXPECT_EQ(mirrored_across_shards(platform), 30u)
-      << "the next window accumulates";
+  EXPECT_EQ(mirrored(platform), 30u) << "the next window accumulates";
   // A second refresh while one is in flight is a no-op: it neither
   // harvests the next window nor replaces the running job.
   platform.refresh_filters(kNow);
   platform.control_tick(kNow);
   EXPECT_TRUE(platform.refresh_in_flight());
-  EXPECT_EQ(mirrored_across_shards(platform), 30u);
+  EXPECT_EQ(mirrored(platform), 30u);
 
   release.set_value();
   platform.wait_for_refresh();
@@ -631,7 +497,7 @@ TEST(MergePlane, SessionsKeepFlowingWhileARefreshIsInFlight) {
   EXPECT_EQ(platform.filter_generation(), 1u);
   EXPECT_EQ(registry.counter_total("gill_collector_filter_refreshes_total"),
             1u);
-  EXPECT_EQ(mirrored_across_shards(platform), 30u)
+  EXPECT_EQ(mirrored(platform), 30u)
       << "the in-flight window's mirror survives the install";
   const HealthSnapshot health = platform.health_snapshot();
   ASSERT_EQ(health.peers.size(), 2u);
@@ -646,18 +512,19 @@ TEST(MergePlane, TriggerFiresAfterItsPeriodAndRearms) {
   metrics::Registry registry;
   par::ThreadPool pool(1);
   ShardedPlatformConfig config;
-  config.shards = 2;
   config.platform.registry = &registry;
   // Seconds-scale period: every step stays inside the 90 s hold timer.
   config.component1_refresh = 100;
   config.analysis_pool = &pool;
   ShardedPlatform platform(config);
-  InMemorySessions sessions(platform);
+  InMemorySessions sessions(ingest_platform(platform));
   sessions.add_peers(2);
   // Control ticks at `now` until one of them installs the submitted job.
   const auto tick_until_installed = [&](bgp::Timestamp now) {
     const std::uint64_t want = platform.filter_generation() + 1;
-    for (int i = 0; i < 10000 && platform.filter_generation() < want; ++i) {
+    const auto deadline = within(kWait);
+    while (platform.filter_generation() < want &&
+           std::chrono::steady_clock::now() < deadline) {
       platform.control_tick(now);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -669,8 +536,7 @@ TEST(MergePlane, TriggerFiresAfterItsPeriodAndRearms) {
   EXPECT_FALSE(platform.refresh_in_flight()) << "not due yet";
   platform.control_tick(101);
   EXPECT_TRUE(platform.refresh_in_flight());
-  EXPECT_EQ(mirrored_across_shards(platform), 0u)
-      << "the window was harvested";
+  EXPECT_EQ(mirrored(platform), 0u) << "the window was harvested";
   tick_until_installed(101);
   EXPECT_EQ(platform.filter_generation(), 1u);
 
@@ -690,20 +556,18 @@ TEST(MergePlane, DeferredRefreshRunsAsSoonAsMemoryRecovers) {
   std::size_t memory = 100;
   metrics::Registry registry;
   ShardedPlatformConfig config;
-  config.shards = 2;
   config.platform.registry = &registry;
   config.platform.overload.mem_high_watermark = 1000;
   config.platform.overload.mem_low_watermark = 500;
   config.platform.overload.memory_probe = [&memory] { return memory; };
   config.component1_refresh = 100;
   ShardedPlatform platform(config);
-  InMemorySessions sessions(platform);
+  InMemorySessions sessions(ingest_platform(platform));
   sessions.add_peers(2);
   platform.control_tick(1);
   sessions.feed_window(2, 10);
 
-  // Memory spikes: the control tick samples the probe, and each shard's
-  // watermark check reads that sample on its next step.
+  // Memory spikes: the platform's next step reads the probe.
   memory = 2000;
   platform.control_tick(60);
   sessions.step(60);
@@ -726,54 +590,6 @@ TEST(MergePlane, DeferredRefreshRunsAsSoonAsMemoryRecovers) {
   platform.control_tick(131);
   EXPECT_EQ(platform.filter_generation(), 1u);
   EXPECT_GT(platform.filters().drop_rule_count(), 0u);
-}
-
-TEST(MergePlane, SerialEnvRunsTheRefreshInline) {
-  ::setenv("GILL_ANALYSIS_SERIAL", "1", 1);
-  metrics::Registry registry;
-  par::ThreadPool pool(2);
-  ShardedPlatformConfig config;
-  config.shards = 2;
-  config.platform.registry = &registry;
-  config.component1_refresh = 0;
-  config.analysis_pool = &pool;
-  ShardedPlatform platform(config);
-  InMemorySessions sessions(platform);
-  sessions.add_peers(2);
-  sessions.feed_window(2, 1000);
-
-  platform.refresh_filters(kRefreshAt);
-  EXPECT_FALSE(platform.refresh_in_flight()) << "ran on the control thread";
-  EXPECT_EQ(platform.filter_generation(), 1u);
-  EXPECT_GT(platform.filters().drop_rule_count(), 0u);
-  EXPECT_EQ(pool.shards_executed(), 0u) << "the pool never ran a stage";
-  ::unsetenv("GILL_ANALYSIS_SERIAL");
-}
-
-// One merge-plane refresh records one refresh fleet-wide, not one per shard.
-TEST(MergePlane, RecordsEachRefreshOnceAcrossShards) {
-  metrics::Registry registry;
-  ShardedPlatformConfig config;
-  config.shards = 4;
-  config.platform.registry = &registry;
-  config.component1_refresh = 0;
-  ShardedPlatform platform(config);
-  InMemorySessions sessions(platform);
-  sessions.add_peers(4);
-  sessions.feed_window(2, 1000);
-
-  platform.refresh_filters(kRefreshAt);
-  ASSERT_EQ(platform.filter_generation(), 1u);
-  EXPECT_EQ(registry.counter_total("gill_collector_filter_refreshes_total"),
-            1u);
-  EXPECT_EQ(registry
-                .histogram("gill_collector_filter_refresh_duration_us", "")
-                .count(),
-            1u);
-  EXPECT_GT(registry.counter_total("gill_collector_score_cache_hits_total") +
-                registry.counter_total(
-                    "gill_collector_score_cache_misses_total"),
-            0u);
 }
 
 }  // namespace

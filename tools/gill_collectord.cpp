@@ -1,8 +1,7 @@
 // The live collector daemon (§8): the GILL platform behind real sockets.
 // Listens for inbound BGP peerings (and optionally BMP feeds, RFC 7854)
-// over TCP, drives the sessions from a sharded ingest plane — N epoll
-// event loops, one per core (--ingest-shards), each owning its sessions
-// outright (DESIGN.md §14) — and serves the versioned operator plane over
+// over TCP, drives the sessions from one ingest event loop on its own
+// thread (DESIGN.md §14) and serves the versioned operator plane over
 // HTTP from a separate control loop: GET /v1/metrics (Prometheus),
 // GET /v1/healthz (JSON peer health), the archive retrieval routes
 // (/v1/data, /v1/segments) and the live distribution plane
@@ -10,14 +9,14 @@
 // subscribers in real time). The pre-/v1 unversioned spellings had a
 // one-release grace window as aliases and now answer 404.
 //
-//   gill-collectord --listen-port 1790 --http-port 9179 --ingest-shards -1 &
+//   gill-collectord --listen-port 1790 --http-port 9179 &
 //   curl -s localhost:9179/v1/metrics | grep gill_collector_peers
 //   curl -N 'localhost:9179/v1/stream?prefix=10.0.0.0/8'
 //
-// Share-nothing by design (DESIGN.md §7/§14): a session's transport, FSM
-// and RIB live on exactly one shard's loop thread, so the daemon hot path
-// never takes a lock; the merge plane stitches per-shard mirrors into one
-// deterministic stream for the sampling pipeline.
+// Single-threaded sessions by design (DESIGN.md §7/§14): every session's
+// transport, FSM and RIB live on the ingest thread, so the daemon hot path
+// never takes a lock; the merge plane harvests the ingest mirror for the
+// sampling pipeline.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -57,13 +56,10 @@ constexpr const char* kUsage =
     "  --dial HOST:PORT:ASN   dial an outbound peering (repeatable; IPv6\n"
     "                         hosts in brackets: [::1]:1790:65001)\n"
     "  --local-as N           our AS number (default 65000)\n"
-    "  --ingest-shards N      ingest event loops (one thread + SO_REUSEPORT\n"
-    "                         listener each): -1 one per core, default 1\n"
     "  --max-peers N          refuse sessions beyond this (default 4096)\n"
     "  --tick-ms N            session timer tick: hold, keepalive, GR, RIB\n"
     "                         dumps, rotation and refresh (default 200);\n"
     "                         updates are decoded and streamed as they arrive\n"
-    "  --rib-dump-interval N  per-session RIB snapshot period, seconds (default off)\n"
     "  --analysis-threads N   worker pool for filter refreshes: -1 auto,\n"
     "                         0 synchronous on the control loop (default -1)\n"
     "  --archive-dir DIR      rotated on-disk segment store; serves GET /v1/data\n"
@@ -79,8 +75,8 @@ constexpr const char* kUsage =
     "                         store exceeds N payload bytes (default off)\n"
     "  --archive-max-age-secs N  retention: delete windows older than N\n"
     "                         seconds (default off)\n"
-    "  --snapshot-secs N      RIB snapshot period into the segment store\n"
-    "                         (default: --rib-dump-interval)\n"
+    "  --snapshot-secs N      per-session RIB snapshot period into the\n"
+    "                         segment store, seconds (default off)\n"
     "  --duration N           run N seconds then exit (default: until SIGINT)\n"
     "  --gr-timeout N         graceful-restart stale retention window, seconds\n"
     "                         (default 120; 0 disables RFC 4724 GR)\n"
@@ -133,9 +129,7 @@ int main(int argc, char** argv) {
   const auto local_as =
       static_cast<bgp::AsNumber>(args.get_int("local-as", 65000));
   const long max_peers = args.get_int("max-peers", 4096);
-  const long ingest_shards = args.get_int("ingest-shards", 1);
   const long tick_ms = args.get_int("tick-ms", 200);
-  const long rib_dump_interval = args.get_int("rib-dump-interval", 0);
   const long analysis_threads = args.get_int("analysis-threads", -1);
   const long duration = args.get_int("duration", 0);
   const std::string archive_dir = args.get("archive-dir", "");
@@ -146,7 +140,7 @@ int main(int argc, char** argv) {
   const long archive_query_threads = args.get_int("archive-query-threads", -1);
   const long archive_max_bytes = args.get_int("archive-max-bytes", 0);
   const long archive_max_age_secs = args.get_int("archive-max-age-secs", 0);
-  const long snapshot_secs = args.get_int("snapshot-secs", rib_dump_interval);
+  const long snapshot_secs = args.get_int("snapshot-secs", 0);
   const long gr_timeout = args.get_int("gr-timeout", 120);
   const long max_peer_rate = args.get_int("max-peer-rate", 0);
   const long queue_watermark = args.get_int("queue-watermark", 1024 * 1024);
@@ -159,7 +153,7 @@ int main(int argc, char** argv) {
 
   metrics::Registry& registry = metrics::default_registry();
   // The control loop: HTTP, BMP feeds, stream fan-out, archive rotation
-  // and the merge cadence. BGP sessions live on the ingest shards.
+  // and the merge cadence. BGP sessions live on the ingest loop.
   // Destruction order matters: the loop must outlive every fd owner below.
   net::EventLoop loop;
   // The merged filter refresh runs on this pool so the control loop never
@@ -184,10 +178,6 @@ int main(int argc, char** argv) {
 
   collect::ShardedPlatformConfig config;
   config.clock = now_seconds;
-  config.shards = ingest_shards < 0
-                      ? par::auto_thread_count()
-                      : static_cast<std::size_t>(
-                            ingest_shards > 0 ? ingest_shards : 1);
   config.platform.local_as = local_as;
   config.platform.registry = &registry;
   config.analysis_pool = analysis_pool.get();
@@ -200,35 +190,27 @@ int main(int argc, char** argv) {
         gr_timeout < 4095 ? gr_timeout : 4095);  // 12-bit wire field
   }
   if (mem_watermark > 0) {
-    // The watermark acts globally: the control tick samples the RSS once
-    // and every shard's check reads that same number.
     config.platform.overload.mem_high_watermark =
         static_cast<std::size_t>(mem_watermark);
   }
   // Per-peer ingest policing: a token bucket caps bytes/second and a
   // bounded inbound queue pauses EPOLLIN above the high watermark (real
   // TCP backpressure — the sender's window closes, not our memory). Both
-  // stay shard-local: they police one session each, lock-free.
+  // police one session each, on the ingest thread, lock-free.
   config.ingest_limits.max_bytes_per_sec = static_cast<double>(max_peer_rate);
   config.ingest_limits.queue_high_watermark =
       queue_watermark > 0 ? static_cast<std::size_t>(queue_watermark) : 0;
   config.max_peers = static_cast<std::size_t>(max_peers);
-  // Per-source accept rate cap, shared across every shard's listener: a
-  // flap storm spread over N SO_REUSEPORT sockets is still one storm.
+  // Per-source accept rate cap: a reconnect storm is refused before it
+  // reaches the session layer.
   config.accept_rate = static_cast<double>(accept_rate);
-  config.on_session = [](std::size_t shard, bgp::VpId vp,
-                         const std::string& peer_ip) {
-    std::fprintf(stderr, "[collectord] vp%u peering from %s (shard %zu)\n",
-                 vp, peer_ip.c_str(), shard);
+  config.on_session = [](bgp::VpId vp, const std::string& peer_ip) {
+    std::fprintf(stderr, "[collectord] vp%u peering from %s\n", vp,
+                 peer_ip.c_str());
   };
-  // The per-session snapshot interval: --snapshot-secs and the historical
-  // --rib-dump-interval feed the same daemon machinery, and the snapshots
-  // land in the segment store (--archive-dir).
-  const long effective_rib_interval =
-      snapshot_secs > 0 ? snapshot_secs : rib_dump_interval;
-  if (effective_rib_interval > 0) {
-    config.rib_dump_interval =
-        static_cast<bgp::Timestamp>(effective_rib_interval);
+  // Per-session RIB snapshots land in the segment store (--archive-dir).
+  if (snapshot_secs > 0) {
+    config.rib_dump_interval = static_cast<bgp::Timestamp>(snapshot_secs);
   }
   collect::ShardedPlatform platform(config);
 
@@ -299,16 +281,17 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // N shard threads write the archive tee concurrently; the LockedSink
-  // serializes them (and the control thread's rotation ticks below).
+  // The ingest thread's sessions and the control thread's BMP feeds write
+  // the archive concurrently; the LockedSink serializes them (and the
+  // control thread's rotation ticks below).
   std::unique_ptr<collect::LockedSink> archive_sink;
   if (archive_writer) {
     archive_sink = std::make_unique<collect::LockedSink>(archive_writer.get());
     platform.set_archive(archive_sink.get());
   }
 
-  // One SO_REUSEPORT listener per shard (the kernel spreads the sessions).
-  // Admission (peer cap, accept governor) is global.
+  // The BGP listener lives on the ingest loop, where admission (peer cap,
+  // accept governor) runs too.
   if (!platform.listen(bind_ip, listen_port)) {
     std::fprintf(stderr, "error: cannot listen on %s:%u\n", bind_ip.c_str(),
                  listen_port);
@@ -317,8 +300,7 @@ int main(int argc, char** argv) {
 
   // Outbound peerings (--dial): we initiate the TCP connection, so these
   // sessions re-dial on teardown (retry policy armed, unlike accepted
-  // peers where the remote re-establishes). Spread round-robin over the
-  // shards before the fleet starts.
+  // peers where the remote re-establishes).
   for (const std::string& spec : args.get_all("dial")) {
     std::string host;
     std::uint16_t port = 0;
@@ -424,11 +406,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // A shard decodes a session's bytes in the readable event that read
-  // them; its timer wheel keeps the session timers (hold, keepalive, GR,
-  // RIB dumps, socket sync). The control tick here samples the memory
-  // watermark, runs the merge cadence and rotates the archive; the stream
-  // hand-off runs after every pass of this loop (see below).
+  // The ingest loop decodes a session's bytes in the readable event that
+  // read them; its timer wheel keeps the session timers (hold, keepalive,
+  // GR, RIB dumps, memory watermark, socket sync). The control tick here
+  // runs the merge cadence and rotates the archive; the stream hand-off
+  // runs after every pass of this loop (see below).
   platform.start(static_cast<std::uint64_t>(tick_ms));
   std::uint64_t seen_manifest_generation = 0;
   loop.call_every(static_cast<std::uint64_t>(tick_ms), [&] {
@@ -473,24 +455,21 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
   std::fprintf(stderr,
-               "[collectord] AS%u: BGP on %s:%u%s (%zu ingest shard%s, "
-               "SO_REUSEPORT), HTTP on %s:%u (/v1/metrics, /v1/healthz, "
-               "/v1/stream)\n",
+               "[collectord] AS%u: BGP on %s:%u%s, HTTP on %s:%u "
+               "(/v1/metrics, /v1/healthz, /v1/stream)\n",
                local_as, bind_ip.c_str(), platform.port(),
-               bmp_port > 0 ? " (+BMP)" : "", platform.shard_count(),
-               platform.shard_count() == 1 ? "" : "s", bind_ip.c_str(),
-               http.port());
+               bmp_port > 0 ? " (+BMP)" : "", bind_ip.c_str(), http.port());
   // The stream hand-off rides the loop's own wakeups: with timers armed,
   // run_once() returns at least once per 10 ms wheel step, and every pass
-  // moves the shard outboxes into the hub, one batch (and one flush per
-  // subscriber) per shard. No wakeup per update.
+  // moves the ingest outbox into the hub as one batch (one flush per
+  // subscriber). No wakeup per update.
   while (!loop.stopped() && g_stop == 0) {
     loop.run_once(100);
     platform.drain_stream();
   }
 
-  // Quiesce the ingest fleet first: once the shard threads are joined,
-  // every harvest below runs single-threaded.
+  // Quiesce the ingest loop first: once its thread is joined, every
+  // harvest below runs single-threaded.
   platform.stop();
   std::fprintf(stderr,
                "[collectord] shutting down: %zu peers, %zu BMP streams, "

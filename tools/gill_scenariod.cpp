@@ -45,10 +45,7 @@ constexpr const char* kUsage =
     "  --bandwidth-kbps N     per-session serialization cap (default off)\n"
     "  --ases N               topology size (default 48)\n"
     "  --vps N                vantage-point sessions (default 12)\n"
-    "  --shards N             run the forked collectord with\n"
-    "                         --ingest-shards N (default 1; -1 per core);\n"
-    "                         recorded in the verdict\n"
-    "  --seed N               scenario + shaping + pacing seed (default 1)\n"
+      "  --seed N               scenario + shaping + pacing seed (default 1)\n"
     "  --rate N               mean event rate/s for the pacing model (default 50)\n"
     "  --replay-ms N          event replay window (default 3000)\n"
     "  --settle-ms N          post-replay drain (default 2500)\n"
@@ -114,7 +111,6 @@ int main(int argc, char** argv) {
       static_cast<double>(args.get_int("timeout-ms", 60000));
   driver_config.analysis_threads =
       static_cast<std::size_t>(args.get_int("analysis-threads", 0));
-  const long ingest_shards = args.get_int("shards", 1);
 
   bool all_passed = true;
   std::string json = "{\"scenarios\":[";
@@ -127,16 +123,13 @@ int main(int argc, char** argv) {
     harness::DriverConfig run_config = driver_config;
     if (!in_memory) {
       if (!collectord_path.empty()) {
-        if (!child.start(collectord_path,
-                         {"--ingest-shards", std::to_string(ingest_shards)})) {
+        if (!child.start(collectord_path)) {
           std::fprintf(stderr, "scenariod: cannot start %s\n",
                        collectord_path.c_str());
           return 1;
         }
         run_config.bgp_port = child.bgp_port;
         run_config.http_port = child.http_port;
-        run_config.ingest_shards = static_cast<std::size_t>(
-            ingest_shards > 0 ? ingest_shards : 1);
       } else {
         run_config.bgp_port =
             static_cast<std::uint16_t>(args.get_int("bgp-port", 0));

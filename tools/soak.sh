@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Flap-storm soak: builds the soak-labeled chaos tests (tests/soak_test.cpp,
 # the /v1/stream distribution-plane tests in tests/stream_test.cpp and the
-# sharded ingest-plane storm in tests/sharded_test.cpp: flaps spread across
-# a 4-shard fleet while merge refreshes run on the analysis pool)
+# ingest-loop storm in tests/sharded_test.cpp: sessions flap on the
+# collector's ingest thread while merge refreshes run on the analysis pool)
 # plus the scenario-labeled closed-loop harness (tests/scenario_test.cpp:
 # route-leak and sub-prefix-hijack replays driving a real gill-collectord
 # over shaped loopback TCP), the archive group (tests/archive_test.cpp,
@@ -12,8 +12,8 @@
 # parallel group (tests/parallel_test.cpp, tests/metrics_test.cpp and the
 # merge plane's refresh tests in tests/sharded_test.cpp: the analysis
 # pool, the registry's concurrency smokes and a refresh job held in
-# flight while shards keep ingesting) under BOTH sanitizer configurations
-# and runs them in one invocation:
+# flight while the ingest loop keeps ingesting) under BOTH sanitizer
+# configurations and runs them in one invocation:
 #
 #   1. GILL_SANITIZE=ON      (ASan + UBSan — memory safety under the storm)
 #   2. GILL_SANITIZE=thread  (TSan — races in the session/transport layers)

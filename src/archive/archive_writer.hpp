@@ -1,8 +1,9 @@
 // The archive store's write path (DESIGN.md §10): a SegmentWriter appends
 // framed MRT records to rotated on-disk segments. Records accumulate in an
-// in-memory buffer on the caller's thread (the event loop); disk work —
-// appending buffered bytes to the active `current.part`, fsync, sealing a
-// segment on the rotation boundary, rewriting `index.json` — runs as jobs
+// in-memory buffer on the caller's thread (the collector's ingest loop);
+// disk work — appending buffered bytes to the active `current.part`,
+// fsync, sealing a segment on the rotation boundary, rewriting
+// `index.json` — runs as jobs
 // on a parallel::ThreadPool so the loop never blocks on storage
 // (mirroring the async filter-refresh pattern of DESIGN.md §9). Jobs for
 // one writer are strictly serialized (a serial executor over the pool), so
@@ -67,8 +68,8 @@ class SegmentWriter : public mrt::Sink {
   void store_rib_entry(const bgp::Update& entry) override;
 
   /// Drives rotation: seals the active segment once `now` crosses its
-  /// window boundary. Call periodically (the collector's tick timer).
-  void tick(Timestamp now);
+  /// window boundary. Call periodically, on the thread that appends.
+  void tick(Timestamp now) override;
 
   /// Schedules the buffered bytes for an append+fsync to the active file.
   void flush();

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <unordered_set>
 
 #include "feed/json.hpp"
@@ -334,28 +333,6 @@ HealthSnapshot Platform::health_snapshot() const {
   return snapshot;
 }
 
-std::string format(const HealthSnapshot& snapshot) {
-  std::ostringstream out;
-  out << "# GILL peer health (" << snapshot.peers.size() << " peers, "
-      << snapshot.quarantined << " quarantined";
-  if (snapshot.shed > 0) out << ", " << snapshot.shed << " shed";
-  out << ")\n";
-  for (const auto& peer : snapshot.peers) {
-    out << "vp" << peer.vp << " as" << peer.as << ' '
-        << to_string(peer.status) << ' ' << daemon::to_string(peer.session)
-        << " flaps=" << peer.flaps << " recent=" << peer.recent_flaps
-        << " quarantines=" << peer.quarantines;
-    if (peer.status == PeerStatus::kQuarantined) {
-      out << " since=" << peer.quarantined_at;
-      if (peer.quarantine_release_at != 0) {
-        out << " release_at=" << peer.quarantine_release_at;
-      }
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
 std::string to_json(const HealthSnapshot& snapshot) {
   feed::JsonArray sessions;
   for (const auto& peer : snapshot.peers) {
@@ -422,8 +399,9 @@ bgp::UpdateStream Platform::take_mirror() {
 
 void Platform::install_filters(filt::FilterTable filters,
                                std::vector<VpId> anchors) {
-  // Daemons hold a pointer to filters_ and read it only between polls, so
-  // the swap must run on the thread that owns this platform.
+  // Daemons (and the collector's BMP decoders) hold a pointer to filters_
+  // and read it only between polls, so the swap must run on the thread
+  // that owns this platform.
   filters_ = std::move(filters);
   anchors_ = std::move(anchors);
   ++generation_;

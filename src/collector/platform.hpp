@@ -108,17 +108,13 @@ struct PeerHealthEntry {
                          const PeerHealthEntry&) noexcept = default;
 };
 
-/// Structured per-peer health, replacing the preformatted string the old
-/// health_report() returned: callers assert on fields and quarantine
-/// deadlines; rendering is a separate concern (see format()).
+/// Structured per-peer health: callers assert on fields and quarantine
+/// deadlines; to_json() renders it for the operator plane.
 struct HealthSnapshot {
   std::size_t quarantined = 0;
   std::size_t shed = 0;  // frozen by overload degraded mode
   std::vector<PeerHealthEntry> peers;  // ordered by VP id
 };
-
-/// Renders a snapshot as the one-line-per-peer operator report.
-std::string format(const HealthSnapshot& snapshot);
 
 /// Renders a snapshot as one JSON document (the /healthz payload of the
 /// HTTP endpoint): {"peers":N,"quarantined":N,"sessions":[...]}.
@@ -213,8 +209,8 @@ class Platform {
   bool degraded() const noexcept { return degraded_; }
   std::size_t shed_count() const noexcept;
   /// Structured per-peer health: status, session state, flap counters and
-  /// quarantine deadlines. Render with format(snapshot) for the operator
-  /// report or to_json(snapshot) for the HTTP /healthz payload.
+  /// quarantine deadlines. Render with to_json(snapshot) for the HTTP
+  /// /healthz payload.
   HealthSnapshot health_snapshot() const;
 
   /// The registry holding the platform's and every session's metrics;

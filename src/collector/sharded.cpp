@@ -30,6 +30,7 @@ ShardedPlatform::ShardedPlatform(ShardedPlatformConfig config)
                                           : &metrics::default_registry()),
       platform_(with_registry(config_.platform, registry_)),
       listener_(loop_, registry_),
+      bmp_listener_(loop_, registry_),
       refreshes_(registry_->counter(
           "gill_collector_filter_refreshes_total",
           "Filter refreshes installed by the merge plane")),
@@ -51,6 +52,8 @@ ShardedPlatform::ShardedPlatform(ShardedPlatformConfig config)
   if (config_.accept_rate > 0) {
     governor_.emplace(config_.accept_rate, /*burst=*/0, registry_);
   }
+  platform_.set_stream_publisher(
+      [this](const bgp::Update& update) { push_stream(update); });
 }
 
 ShardedPlatform::~ShardedPlatform() {
@@ -59,29 +62,58 @@ ShardedPlatform::~ShardedPlatform() {
 }
 
 bool ShardedPlatform::listen(const std::string& host, std::uint16_t port) {
-  return call([&] {
-    return listener_.listen(
-        host, port, [this](int fd, std::string peer_ip, std::uint16_t) {
-          accept_session(fd, peer_ip);
-        });
-  });
+  return listen_on(listener_, host, port, &ShardedPlatform::accept_session);
 }
 
-void ShardedPlatform::accept_session(int fd, const std::string& peer_ip) {
-  if (platform_.peer_count() >= config_.max_peers ||
-      (governor_ && !governor_->admit(peer_ip, loop_.now_ms()))) {
-    ::close(fd);
-    return;
+bool ShardedPlatform::listen_bmp(const std::string& host,
+                                 std::uint16_t port) {
+  return listen_on(bmp_listener_, host, port, &ShardedPlatform::accept_bmp);
+}
+
+bool ShardedPlatform::listen_on(net::TcpListener& listener,
+                                const std::string& host, std::uint16_t port,
+                                VpId (ShardedPlatform::*accept)(int fd)) {
+  auto on_accept = [this, accept](int fd, std::string peer_ip,
+                                  std::uint16_t) {
+    // One admission for sessions and feeds alike: the live-connection cap,
+    // then the per-source accept governor.
+    if (open_connections() >= config_.max_peers ||
+        (governor_ && !governor_->admit(peer_ip, loop_.now_ms()))) {
+      ::close(fd);
+      return;
+    }
+    const VpId vp = (this->*accept)(fd);
+    if (config_.on_session) config_.on_session(vp, peer_ip);
+  };
+  return call([&] { return listener.listen(host, port, on_accept); });
+}
+
+std::size_t ShardedPlatform::open_connections() const {
+  std::size_t open = 0;
+  for (const auto& [vp, transport] : transports_) {
+    if (transport->socket_open()) ++open;
   }
+  for (const auto& [vp, feed] : bmp_feeds_) {
+    if (feed.transport->socket_open()) ++open;
+  }
+  return open;
+}
+
+std::unique_ptr<net::TcpTransport> ShardedPlatform::policed_transport() {
   auto transport = std::make_unique<net::TcpTransport>(
       loop_, net::Role::kDaemonSide, registry_);
+  transport->set_ingest_limits(config_.ingest_limits);
+  return transport;
+}
+
+VpId ShardedPlatform::accept_session(int fd) {
+  auto transport = policed_transport();
   auto* raw = transport.get();
-  raw->set_ingest_limits(config_.ingest_limits);
   raw->adopt(fd);
   const VpId vp =
       platform_.add_remote_peer(/*peer_as=*/0, now(), std::move(transport));
   watch_session(vp, *raw);
-  if (config_.on_session) config_.on_session(vp, peer_ip);
+  return vp;
 }
 
 void ShardedPlatform::watch_session(VpId vp, net::TcpTransport& transport) {
@@ -94,15 +126,34 @@ void ShardedPlatform::watch_session(VpId vp, net::TcpTransport& transport) {
   transport.set_on_inbound([this, vp] { platform_.poll_peer(vp, now()); });
 }
 
+VpId ShardedPlatform::accept_bmp(int fd) {
+  const VpId vp = next_bmp_vp_++;
+  BmpFeed feed{policed_transport(),
+               std::make_unique<daemon::BmpIngest>(vp, &platform_.filters(),
+                                                   archive_, registry_)};
+  // BMP updates reach the stream only: no sampling mirror, no forwarding.
+  feed.ingest->set_mirror(
+      [this](const bgp::Update& update) { push_stream(update); });
+  // Decode on arrival, as for a session: the readable event that queued
+  // the bytes feeds them to the decoder.
+  feed.transport->set_on_inbound(
+      [this, transport = feed.transport.get(), ingest = feed.ingest.get()] {
+        const auto bytes = transport->to_daemon.peek();
+        ingest->feed(bytes, now());
+        transport->to_daemon.consume(bytes.size());
+      });
+  feed.transport->adopt(fd);
+  bmp_feeds_.emplace(vp, std::move(feed));
+  return vp;
+}
+
 bool ShardedPlatform::dial(const std::string& host, std::uint16_t port,
                            bgp::AsNumber asn) {
   // The transport registers with the ingest loop, so the whole dial runs
   // on the ingest thread (inline before start(), posted after).
   return call([&]() -> bool {
-    auto transport = std::make_unique<net::TcpTransport>(
-        loop_, net::Role::kDaemonSide, registry_);
+    auto transport = policed_transport();
     auto* raw = transport.get();
-    raw->set_ingest_limits(config_.ingest_limits);
     if (!raw->dial(host, port)) return false;
     const VpId vp =
         platform_.add_dialed_peer(asn, now(), std::move(transport));
@@ -112,21 +163,21 @@ bool ShardedPlatform::dial(const std::string& host, std::uint16_t port,
 }
 
 void ShardedPlatform::set_archive(mrt::Sink* sink) {
-  call([this, sink] { platform_.set_archive(sink); });
+  call([this, sink] {
+    archive_ = sink;
+    platform_.set_archive(sink);
+  });
+}
+
+void ShardedPlatform::push_stream(const bgp::Update& update) {
+  if (!streaming_) return;
+  const std::lock_guard<std::mutex> lock(outbox_mutex_);
+  outbox_.push_back(update);
 }
 
 void ShardedPlatform::set_stream_publisher(StreamPublisher publisher) {
   publisher_ = std::move(publisher);
-  call([this] {
-    if (!publisher_) {
-      platform_.set_stream_publisher(nullptr);
-      return;
-    }
-    platform_.set_stream_publisher([this](const bgp::Update& update) {
-      const std::lock_guard<std::mutex> lock(outbox_mutex_);
-      outbox_.push_back(update);
-    });
-  });
+  call([this, streaming = publisher_ != nullptr] { streaming_ = streaming; });
 }
 
 void ShardedPlatform::start(std::uint64_t tick_ms) {
@@ -144,8 +195,16 @@ void ShardedPlatform::stop() {
 }
 
 void ShardedPlatform::step() {
-  platform_.step(now());
+  const Timestamp at = now();
+  platform_.step(at);
   for (auto& [vp, transport] : transports_) transport->sync();
+  // A feed's socket closes inside its own readable event, whose hook must
+  // not destroy the transport: the tick drops it.
+  std::erase_if(bmp_feeds_, [](const auto& entry) {
+    return !entry.second.transport->socket_open();
+  });
+  for (auto& [vp, feed] : bmp_feeds_) feed.transport->sync();
+  if (archive_ != nullptr) archive_->tick(at);
 }
 
 void ShardedPlatform::control_tick(Timestamp now) {
@@ -201,18 +260,6 @@ bgp::UpdateStream ShardedPlatform::take_merged_mirror() {
   return mirror;
 }
 
-bgp::UpdateStream ShardedPlatform::merged_rib_dump(Timestamp time) const {
-  bgp::UpdateStream dump = call([this, time] {
-    bgp::UpdateStream out;
-    for (const auto& entry : platform_.health_snapshot().peers) {
-      out.append(platform_.daemon_of(entry.vp).rib().dump(entry.vp, time));
-    }
-    return out;
-  });
-  dump.sort();  // total order by (time, vp, prefix)
-  return dump;
-}
-
 void ShardedPlatform::refresh_filters(Timestamp now) {
   if (refresh_in_flight()) return;  // one job at a time; its window is its own
   last_refresh_ = now;
@@ -247,10 +294,14 @@ void ShardedPlatform::refresh_filters(Timestamp now) {
 void ShardedPlatform::install(FilterRefresh refresh) {
   refreshes_.inc();
   purged_updates_.inc(refresh.purged);
-  filters_ = std::move(refresh.filters);
-  anchors_ = std::move(refresh.anchors);
-  ++generation_;
-  call([this] { platform_.install_filters(filters_, anchors_); });
+  call([this, &refresh] {
+    platform_.install_filters(std::move(refresh.filters),
+                              std::move(refresh.anchors));
+  });
+}
+
+std::uint64_t ShardedPlatform::filter_generation() const {
+  return call([this] { return platform_.filter_generation(); });
 }
 
 void ShardedPlatform::poll_refresh() {

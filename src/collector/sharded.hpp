@@ -1,17 +1,18 @@
 // The live collector's ingest plane (DESIGN.md §14): one ingest event loop
-// on its own thread — its listener, every BGP session and the one Platform
-// that owns them — plus the merge plane, the collector's only
+// on its own thread — its listeners, every BGP session and BMP feed, and
+// the one Platform — plus the merge plane, the collector's only
 // filter-refresh schedule: the periodic trigger, its deferral while
 // degraded, the (at most one) job in flight and the install all live here.
 //
-// Ownership model. Sessions live and die on the ingest thread: their
-// TcpTransports, BGP daemon FSMs, token buckets, RIBs and the update mirror
-// are touched by that thread only. The control thread (HTTP, stream
-// fan-out, archive rotation, the merge plane) reaches them through two
-// doors: EventLoop::post() and its synchronous spelling call() for
-// harvests and installs, and the stream outbox, a mutex-guarded vector the
-// ingest thread appends to and the control thread swaps out. Admission
-// control (the peer cap and the accept governor) runs on the ingest
+// Ownership model. Everything a feed touches lives on the ingest thread:
+// transports, BGP FSMs and BMP decoders, token buckets, RIBs, the mirror,
+// the filter table (once, in the Platform) and the archive's write side
+// (records, RIB snapshots, the rotation tick). The control thread (HTTP,
+// stream fan-out, the merge plane) reaches them through two doors:
+// EventLoop::post() and its synchronous spelling call() for harvests and
+// installs, and the stream outbox, a mutex-guarded vector the ingest
+// thread appends to and the control thread swaps out. Admission control
+// (the live-connection cap and the accept governor) runs on the ingest
 // thread, where every accept does.
 //
 // Before start() the loop has no thread, and every call runs inline on
@@ -23,6 +24,7 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -32,17 +34,16 @@
 #include <vector>
 
 #include "collector/platform.hpp"
+#include "daemon/bmp_ingest.hpp"
 #include "net/event_loop.hpp"
 #include "net/overload.hpp"
 #include "net/tcp_transport.hpp"
 
 namespace gill::collect {
 
-/// Serializes an mrt::Sink that two threads write: the ingest thread's
-/// sessions (the daemons' archive tee) and the control thread (BMP feeds,
-/// the writer's own maintenance). Records interleave at record
-/// granularity. with_lock() lets the control thread run the inner sink's
-/// own maintenance (SegmentWriter::tick/close) under the same lock.
+/// Serializes an mrt::Sink that several threads write. The collector needs
+/// none (only its ingest thread writes the archive); perfbench's layer
+/// replay still models the archive tee with it.
 class LockedSink : public mrt::Sink {
  public:
   explicit LockedSink(mrt::Sink* inner) : inner_(inner) {}
@@ -55,11 +56,6 @@ class LockedSink : public mrt::Sink {
     const std::lock_guard<std::mutex> lock(mutex_);
     inner_->store_rib_entry(entry);
   }
-  template <typename F>
-  void with_lock(F&& fn) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    fn();
-  }
 
  private:
   std::mutex mutex_;
@@ -71,9 +67,11 @@ struct ShardedPlatformConfig {
   /// overload, gill), applied as given; a null registry means
   /// metrics::default_registry().
   PlatformConfig platform;
-  /// Per-session ingest policing, applied to every accepted/dialed socket.
+  /// Per-connection ingest policing, applied to every accepted/dialed
+  /// socket, BGP session and BMP feed alike.
   net::IngestLimits ingest_limits;
-  /// Session cap: accepts beyond it are refused.
+  /// Live-connection cap: an accept is refused while this many BGP sockets
+  /// and BMP feeds are open.
   std::size_t max_peers = 4096;
   /// Per-source accepts/second before connections are refused (0
   /// disables).
@@ -91,13 +89,16 @@ struct ShardedPlatformConfig {
   /// callable from the ingest thread. Defaults to the wall clock; tests
   /// inject a fixed clock to make snapshots byte-comparable.
   std::function<Timestamp()> clock;
-  /// Observer for every admitted session (logging). Runs on the ingest
-  /// thread — keep it cheap.
+  /// Observer for every admitted session and BMP feed (logging). Runs on
+  /// the ingest thread — keep it cheap.
   std::function<void(VpId vp, const std::string& peer_ip)> on_session;
 };
 
 class ShardedPlatform {
  public:
+  /// BMP feeds are labelled from here up, apart from the BGP sessions.
+  static constexpr VpId kFirstBmpVp = 100000;
+
   explicit ShardedPlatform(ShardedPlatformConfig config);
   /// Stops the ingest loop and waits for an in-flight refresh job.
   ~ShardedPlatform();
@@ -108,27 +109,33 @@ class ShardedPlatform {
   /// Binds the BGP listen port on the ingest loop. False when it cannot
   /// bind.
   bool listen(const std::string& host, std::uint16_t port);
+  /// Binds the BMP listen port (RFC 7854) on the ingest loop. A feed is
+  /// admitted, policed, filtered, archived and streamed like a session,
+  /// but skips the sampling mirror and forwarding rules. False when it
+  /// cannot bind.
+  bool listen_bmp(const std::string& host, std::uint16_t port);
   /// Dials an outbound peering from the ingest loop.
   bool dial(const std::string& host, std::uint16_t port, bgp::AsNumber asn);
-  /// Routes every session's stored records into `sink`, the collector's
-  /// one archive (see Platform::set_archive); the caller owns it. `sink`
-  /// is written from the ingest thread while the control thread may write
-  /// or maintain it too — wrap it in a LockedSink (or pass something
-  /// inherently thread-safe).
+  /// Routes every session's and BMP feed's stored records into `sink`,
+  /// the collector's one archive (see Platform::set_archive); the caller
+  /// owns it. Call it before listen_bmp(): a feed keeps the sink it was
+  /// accepted with. Only the ingest thread writes it and drives its
+  /// tick(), so it needs no lock; meanwhile the caller may use only what
+  /// the sink guards itself (SegmentWriter::manifest_generation,
+  /// run_retention).
   void set_archive(mrt::Sink* sink);
   /// Takes one batch of updates, in arrival order (StreamHub::publish).
   using StreamPublisher = std::function<void(std::span<const bgp::Update>)>;
-  /// Live-stream tap: the ingest loop decodes a session's bytes as they
-  /// arrive and appends each accepted update to the outbox; drain_stream()
-  /// hands the outbox to `publisher` whole, on the CONTROL thread, so
-  /// StreamHub and friends stay single-threaded and a subscriber is
-  /// flushed once per batch. nullptr detaches.
+  /// Live-stream tap: the ingest loop decodes a session's or feed's bytes
+  /// as they arrive and appends each accepted update to the outbox;
+  /// drain_stream() hands the outbox to `publisher` whole, on the CONTROL
+  /// thread, so StreamHub and friends stay single-threaded and a
+  /// subscriber is flushed once per batch. nullptr detaches.
   void set_stream_publisher(StreamPublisher publisher);
 
-  /// Starts the ingest thread. Each session's bytes are decoded in the
-  /// readable event that read them; the loop ticks the sessions every
-  /// `tick_ms` for the timers only (hold, keepalive, graceful restart,
-  /// RIB dumps, transport sync).
+  /// Starts the ingest thread. Each connection's bytes are decoded in the
+  /// readable event that read them; the loop ticks every `tick_ms` for the
+  /// timers only (session timers, transport sync, archive rotation).
   void start(std::uint64_t tick_ms = 200);
   /// Stops and joins the ingest thread. Idempotent; also runs from the
   /// destructor.
@@ -136,6 +143,7 @@ class ShardedPlatform {
   bool running() const noexcept { return thread_.joinable(); }
 
   std::uint16_t port() const noexcept { return listener_.port(); }
+  std::uint16_t bmp_port() const noexcept { return bmp_listener_.port(); }
 
   // --- control plane (call from ONE control thread only) -------------------
   /// The per-tick control work: installs a completed refresh job and
@@ -162,9 +170,6 @@ class ShardedPlatform {
   /// Harvests the ingest platform's mirror (it restarts empty), in
   /// arrival order; compute_refresh() sorts it.
   bgp::UpdateStream take_merged_mirror();
-  /// Every session's RIB dumped at `time`, fully sorted by (time, vp,
-  /// prefix).
-  bgp::UpdateStream merged_rib_dump(Timestamp time) const;
 
   /// The merge-plane refresh: harvest + ONE compute_refresh() + install
   /// the (filters, anchors) into the ingest platform. Runs on the analysis
@@ -177,21 +182,12 @@ class ShardedPlatform {
   void poll_refresh();
   /// Blocks until any in-flight refresh job is installed.
   void wait_for_refresh();
-  std::uint64_t filter_generation() const noexcept { return generation_; }
-
-  /// The installed filter/anchor state (control-thread view; the address
-  /// is stable, so BMP ingest can hold a pointer).
-  const filt::FilterTable& filters() const noexcept { return filters_; }
-  const std::vector<VpId>& anchors() const noexcept { return anchors_; }
-  std::string published_filter_document() const {
-    return filter_document(filters_);
-  }
-  std::string published_anchor_document() const {
-    return anchor_document(anchors_);
-  }
+  /// The ingest platform's filter generation (Platform::filter_generation).
+  std::uint64_t filter_generation() const;
 
   /// Runs `fn(platform)` on the ingest thread and returns its result —
-  /// the test/tooling escape hatch for inspecting the ingest platform.
+  /// the test/tooling escape hatch for inspecting the ingest platform and
+  /// its installed filters.
   template <typename F>
   auto with_platform(F&& fn) {
     return call([this, &fn] { return fn(platform_); });
@@ -212,13 +208,31 @@ class ShardedPlatform {
     return future.get();
   }
 
-  /// Runs on the ingest thread (TcpListener contract).
-  void accept_session(int fd, const std::string& peer_ip);
+  /// One BMP feed (ingest thread): its socket and its decoder.
+  struct BmpFeed {
+    std::unique_ptr<net::TcpTransport> transport;
+    std::unique_ptr<daemon::BmpIngest> ingest;
+  };
+
+  /// Binds `listener` on the ingest loop; each accept it admits becomes
+  /// `accept(fd)`'s session or feed (ingest thread).
+  bool listen_on(net::TcpListener& listener, const std::string& host,
+                 std::uint16_t port, VpId (ShardedPlatform::*accept)(int fd));
+  VpId accept_session(int fd);
+  VpId accept_bmp(int fd);
+  /// BGP sockets and BMP feeds currently open.
+  std::size_t open_connections() const;
+  /// A daemon-side transport on the ingest loop, under the ingest limits.
+  std::unique_ptr<net::TcpTransport> policed_transport();
   /// Registers a session's transport for the per-tick sync, sets its
   /// inbound hook to Platform::poll_peer and arms its RIB dumps (ingest
   /// thread).
   void watch_session(VpId vp, net::TcpTransport& transport);
-  /// The tick body (ingest thread): step the platform, sync sockets.
+  /// The stream tap of sessions and feeds: appends one update to the
+  /// outbox while a publisher is attached (ingest thread).
+  void push_stream(const bgp::Update& update);
+  /// The tick body (ingest thread): step the platform, sync sockets, drop
+  /// closed feeds, rotate the archive.
   void step();
   Timestamp now() const { return clock_(); }
   void install(FilterRefresh refresh);
@@ -233,9 +247,15 @@ class ShardedPlatform {
   std::thread thread_;
   Platform platform_;
   net::TcpListener listener_;
+  net::TcpListener bmp_listener_;
   std::optional<net::AcceptGovernor> governor_;  // ingest thread only
   /// TcpTransport view of the platform-owned transports (per-tick sync).
   std::map<VpId, net::TcpTransport*> transports_;
+  /// Open BMP feeds by VP label; the tick drops closed ones.
+  std::map<VpId, BmpFeed> bmp_feeds_;
+  VpId next_bmp_vp_ = kFirstBmpVp;
+  mrt::Sink* archive_ = nullptr;  // ingest thread (set_archive)
+  bool streaming_ = false;        // ingest thread: a publisher is attached
   /// Stream outbox: filled on the ingest thread, drained by the control
   /// thread (the one lock on the mirror path; held for a push or a swap).
   std::mutex outbox_mutex_;
@@ -244,9 +264,6 @@ class ShardedPlatform {
 
   // Merge plane (control-thread state).
   std::future<FilterRefresh> job_;  // at most one refresh in flight
-  filt::FilterTable filters_;
-  std::vector<VpId> anchors_;
-  std::uint64_t generation_ = 0;
   /// Start of the current refresh period; unset until the first tick.
   std::optional<Timestamp> last_refresh_;
   bool refresh_deferred_ = false;  // the due refresh was counted deferred

@@ -44,7 +44,7 @@ class BmpIngest {
  public:
   /// `vp` identifies the monitored router; `filters`/`archive` may be
   /// null. `archive` receives every kept update — an MrtStore, or the
-  /// collector's archive sink (the LockedSink over its segment writer).
+  /// collector's segment writer.
   /// `registry` hosts the stream's counters; when null the ingest owns a
   /// private registry (isolated stand-alone use).
   BmpIngest(VpId vp, const filt::FilterTable* filters, mrt::Sink* archive,

@@ -48,6 +48,9 @@ class Sink {
   virtual void store(const Update& update) = 0;
   /// Records one TABLE_DUMP_V2 RIB entry.
   virtual void store_rib_entry(const Update& entry) = 0;
+  /// Periodic maintenance at time `now`, on the thread that writes the
+  /// sink (the collector's ingest tick); a no-op unless overridden.
+  virtual void tick(bgp::Timestamp /*now*/) {}
 };
 
 /// Serializes updates and RIB entries into one growing byte buffer.

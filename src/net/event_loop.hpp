@@ -16,10 +16,11 @@
 //     work without cascading). tick() scheduling for the BGP daemons —
 //     keepalives, hold timers, reconnect backoff — costs O(1) per timer
 //     per wheel step, independent of the peer count.
-//   * Sharded ingest (DESIGN.md §14) runs one loop per core. The ONLY
-//     cross-thread entry points are post() (task hand-off via an eventfd
-//     wakeup) and stop(); everything else keeps the one-thread-owns-every-
-//     fd contract, which in_loop_thread() lets callers assert.
+//   * The collector runs two loops, ingest and control, each on its own
+//     thread (DESIGN.md §14). The ONLY cross-thread entry points are
+//     post() (task hand-off via an eventfd wakeup) and stop(); everything
+//     else keeps the one-thread-owns-every-fd contract, which
+//     in_loop_thread() lets callers assert.
 #pragma once
 
 #include <atomic>

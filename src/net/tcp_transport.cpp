@@ -173,9 +173,7 @@ void TcpTransport::on_event(std::uint32_t events) {
     }
     flush_outbound();
   }
-  if ((events & kReadable) && fd_ >= 0 && drain_socket() > 0) {
-    consume_inbound();
-  }
+  if ((events & kReadable) && fd_ >= 0) read_inbound();
 }
 
 void TcpTransport::consume_inbound() {
@@ -231,35 +229,33 @@ void TcpTransport::maybe_resume_reads() {
   resume_reads();
   // EPOLL_CTL_MOD re-reports a still-readable fd under EPOLLET, but drain
   // now so the resume does not depend on that edge.
-  if (drain_socket() > 0) consume_inbound();
+  read_inbound();
 }
 
-std::size_t TcpTransport::drain_socket() {
+void TcpTransport::read_inbound() {
   std::uint8_t buffer[16384];
-  std::size_t delivered = 0;
-  while (!reads_paused_ && fd_ >= 0) {
+  bool delivered = false;
+  bool ended = false;
+  while (!ended && !reads_paused_ && fd_ >= 0) {
     const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
     if (n > 0) {
       bytes_read_.inc(static_cast<std::uint64_t>(n));
       deliver_inbound(std::span(buffer, static_cast<std::size_t>(n)));
-      delivered += static_cast<std::size_t>(n);
+      delivered = true;
       maybe_pause_reads(static_cast<std::size_t>(n));
       continue;
     }
-    if (n == 0) {
-      // FIN: the remote end closed (or half-closed) the conversation. BGP
-      // has no meaningful simplex mode — treat it as the session ending.
-      remote_closes_.inc();
-      close_socket(/*and_endpoint=*/true);
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    socket_errors_.inc();  // ECONNRESET and friends
-    close_socket(/*and_endpoint=*/true);
-    break;
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // FIN (the remote end closed or half-closed the conversation; BGP has
+    // no meaningful simplex mode) or ECONNRESET and friends: it is over.
+    (n == 0 ? remote_closes_ : socket_errors_).inc();
+    ended = true;
   }
-  return delivered;
+  if (delivered) consume_inbound();
+  // Close only after the hook consumed what arrived with the FIN or reset:
+  // the close clears the queue (Transport::disconnect).
+  if (ended) close_socket(/*and_endpoint=*/true);
 }
 
 void TcpTransport::deliver_inbound(std::span<const std::uint8_t> chunk) {

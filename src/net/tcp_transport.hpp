@@ -26,9 +26,11 @@
 // Close semantics. A peer's orderly shutdown (recv() == 0, i.e. FIN /
 // half-close) and a hard reset (ECONNRESET & friends) both end the
 // session: the fd is closed and the endpoint transport is disconnected,
-// which bumps the epoch the daemon FSM watches. Graceful local teardown is
-// the daemon's NOTIFICATION followed by disconnect(), which flushes
-// nothing further and closes the socket.
+// which bumps the epoch the daemon FSM watches. The inbound hook runs over
+// the bytes read in the same pass first, so what a peer sent right before
+// it closed is decoded, not dropped with the queue. Graceful local
+// teardown is the daemon's NOTIFICATION followed by disconnect(), which
+// flushes nothing further and closes the socket.
 #pragma once
 
 #include <cstdint>
@@ -124,8 +126,10 @@ class TcpTransport : public daemon::Transport {
  private:
   void register_fd();
   void on_event(std::uint32_t events);
-  /// Reads until EAGAIN or a pause; returns the bytes delivered inbound.
-  std::size_t drain_socket();
+  /// Reads until EAGAIN, a pause or the end of the stream, runs the
+  /// inbound hook over what it read, then closes the socket if the peer
+  /// ended the stream (FIN or error).
+  void read_inbound();
   void flush_outbound();
   /// Closes the fd and, when `and_endpoint`, disconnects the endpoint
   /// transport so its epoch bump reaches the session FSM.

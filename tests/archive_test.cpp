@@ -33,6 +33,7 @@
 #include "net/http_endpoint.hpp"
 #include "net/tcp_transport.hpp"
 #include "parallel/thread_pool.hpp"
+#include "test_util.hpp"
 #include "wire/bmp.hpp"
 
 namespace gill::archive {
@@ -40,10 +41,8 @@ namespace {
 
 namespace fs = std::filesystem;
 using daemon::SessionState;
-
-net::Prefix pfx(const std::string& text) {
-  return net::Prefix::parse(text).value();
-}
+using test::dechunk;
+using test::pfx;
 
 bgp::Update make_update(VpId vp, Timestamp time, const std::string& prefix,
                         std::uint32_t tail_as = 64512) {
@@ -476,22 +475,6 @@ TEST(CrashSafety, RecoverySealsEveryTornTailLength) {
 // GET /v1/data (collect::route_archive, the collector's handler) returns
 // exactly one VP's window, decodable by the MRT reader.
 // ---------------------------------------------------------------------------
-
-/// De-chunks a Transfer-Encoding: chunked HTTP body.
-std::string dechunk(const std::string& body) {
-  std::string out;
-  std::size_t at = 0;
-  for (;;) {
-    const std::size_t line_end = body.find("\r\n", at);
-    if (line_end == std::string::npos) break;
-    const std::size_t size =
-        std::stoul(body.substr(at, line_end - at), nullptr, 16);
-    if (size == 0) break;
-    out += body.substr(line_end + 2, size);
-    at = line_end + 2 + size + 2;  // skip data + trailing CRLF
-  }
-  return out;
-}
 
 /// One GET over loopback against an endpoint served by `loop`: the raw
 /// response (status line, headers, body) as read until the server closes.

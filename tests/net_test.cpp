@@ -29,16 +29,17 @@
 #include "net/event_loop.hpp"
 #include "net/http_endpoint.hpp"
 #include "net/tcp_transport.hpp"
+#include "test_util.hpp"
 #include "wire/messages.hpp"
 
 namespace gill::net {
 namespace {
 
 using daemon::SessionState;
+using test::pfx;
+using test::raw_client;
 
 constexpr bgp::Timestamp kNow = 1000;  // fixed logical time: no hold expiry
-
-net::Prefix pfx(const char* text) { return net::Prefix::parse(text).value(); }
 
 /// Spins the loop (short waits) until `done` returns true or `iterations`
 /// passes elapse, running `step` between waits to pump the session layers.
@@ -50,21 +51,6 @@ bool drive(EventLoop& loop, int iterations, Done done, Step step) {
     if (done()) return true;
   }
   return done();
-}
-
-/// A raw non-blocking loopback client socket (no TcpTransport machinery),
-/// for exercising the server against arbitrary byte-level behaviour.
-int raw_client(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  const int rc =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  EXPECT_TRUE(rc == 0 || errno == EINPROGRESS);
-  return fd;
 }
 
 /// Blocking-style HTTP exchange over a non-blocking socket: sends
@@ -539,6 +525,46 @@ TEST(TcpSession, HardResetTearsTheSessionDown) {
       [&] { server.pump(); }));
   // ECONNRESET lands in the error counter, not the orderly-close one.
   EXPECT_EQ(server.registry.counter_total("gill_net_socket_errors_total"), 1u);
+}
+
+// Updates read in the same pass as the peer's FIN are decoded before the
+// socket closes. Wired as the collector wires a session (the inbound hook
+// polls it on arrival), with no server pass between the sends and the
+// close, so the server reads the updates and the FIN together.
+TEST(TcpSession, UpdatesThatArriveWithTheFinAreDecoded) {
+  ServerHarness server;
+  auto client = std::make_unique<TcpFakePeer>(server, 65010);
+  ASSERT_TRUE(drive(
+      server.loop, 400,
+      [&] {
+        return !server.accepted.empty() &&
+               server.platform.daemon_of(server.accepted[0]).state() ==
+                   SessionState::kEstablished &&
+               client->peer.established();
+      },
+      [&] {
+        server.pump();
+        client->pump();
+      }));
+  const bgp::VpId vp = server.accepted[0];
+  server.transports.at(vp)->set_on_inbound(
+      [&server, vp] { server.platform.poll_peer(vp, kNow); });
+
+  for (int i = 0; i < 20; ++i) {
+    bgp::Update update;
+    update.time = kNow;
+    update.prefix = pfx("10.2." + std::to_string(i) + ".0/24");
+    update.path = bgp::AsPath{65010, 65020};
+    client->peer.send_update(update);
+  }
+  ASSERT_EQ(client->transport.backlog_bytes(), 0u) << "all sent before FIN";
+  client.reset();  // FIN right behind the updates
+  // Only the loop runs: the hook is the one place these bytes can decode.
+  ASSERT_TRUE(drive(
+      server.loop, 400,
+      [&] { return !server.transports.at(vp)->socket_open(); }, [] {}));
+  EXPECT_EQ(server.platform.daemon_of(vp).stats().updates_received, 20u);
+  EXPECT_EQ(server.registry.counter_total("gill_net_remote_closes_total"), 1u);
 }
 
 TEST(TcpTransport, WritesBeforeConnectCompletionAreBacklogged) {

@@ -20,9 +20,12 @@
 #include "net/event_loop.hpp"
 #include "net/overload.hpp"
 #include "net/tcp_transport.hpp"
+#include "test_util.hpp"
 
 namespace gill::net {
 namespace {
+
+using test::raw_client;
 
 // ---------------------------------------------------------------------------
 // TokenBucket.
@@ -101,19 +104,6 @@ TEST(AcceptGovernor, ZeroRateAdmitsEverything) {
 // ---------------------------------------------------------------------------
 // TcpTransport watermark backpressure over a real loopback socket.
 // ---------------------------------------------------------------------------
-
-int raw_client(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  const int rc =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  EXPECT_TRUE(rc == 0 || errno == EINPROGRESS);
-  return fd;
-}
 
 /// A loopback byte firehose into a daemon-side transport with ingest
 /// limits: no BGP machinery, just raw flow control.
@@ -268,7 +258,6 @@ TEST(Degraded, MemoryWatermarkShedsLowestVolumeAndRecovers) {
   // Operator plane reports the shed peer.
   const auto snapshot = platform.health_snapshot();
   EXPECT_EQ(snapshot.shed, 1u);
-  EXPECT_NE(collect::format(snapshot).find("1 shed"), std::string::npos);
   EXPECT_NE(collect::to_json(snapshot).find("\"shed\":1"), std::string::npos);
 
   // A shed peer's updates stop flowing (frozen, not torn down).

@@ -205,9 +205,6 @@ TEST(Health, RepeatedFlapsQuarantineThePeer) {
   EXPECT_EQ(snapshot.peers[0].vp, vp);
   EXPECT_EQ(snapshot.peers[0].status, PeerStatus::kQuarantined);
   EXPECT_EQ(snapshot.peers[0].flaps, 3u);
-  const std::string report = format(snapshot);
-  EXPECT_NE(report.find("quarantined"), std::string::npos);
-  EXPECT_NE(report.find("flaps=3"), std::string::npos);
 }
 
 TEST(Health, TimedQuarantineReleasesThePeer) {
@@ -336,7 +333,7 @@ TEST(Chaos, PlatformSurvivesFaultyPeersFor10kSeconds) {
     if (platform.health(vp).status == PeerStatus::kQuarantined) continue;
     EXPECT_EQ(platform.daemon_of(vp).state(), SessionState::kEstablished)
         << "vp " << vp << "\n"
-        << format(platform.health_snapshot());
+        << to_json(platform.health_snapshot());
     ++established;
   }
   EXPECT_GT(established, 0u);

@@ -20,22 +20,14 @@
 #include "mrt/mrt.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
+#include "test_util.hpp"
 
 namespace gill::net {
 namespace {
 
 using daemon::SessionState;
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
-net::Prefix pfx(const std::string& text) {
-  return net::Prefix::parse(text).value();
-}
+using test::env_size;
+using test::pfx;
 
 /// Canonical bytes of a RIB: the TABLE_DUMP-style snapshot, sorted, MRT
 /// encoded. Two tables with the same routes produce identical bytes.

@@ -28,9 +28,12 @@
 #include "net/event_loop.hpp"
 #include "net/http_endpoint.hpp"
 #include "net/stream.hpp"
+#include "test_util.hpp"
 
 namespace gill::net {
 namespace {
+
+using test::dechunk;
 
 net::Prefix pfx(const char* text) { return net::Prefix::parse(text).value(); }
 
@@ -54,24 +57,6 @@ HttpRequest make_request(
   request.path = "/v1/stream";
   for (const auto& [key, value] : params) request.query[key] = value;
   return request;
-}
-
-/// Reassembles the payload of an HTTP chunked body received so far,
-/// ignoring an incomplete trailing chunk.
-std::string dechunk(std::string_view body) {
-  std::string out;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t eol = body.find("\r\n", pos);
-    if (eol == std::string_view::npos) break;
-    const std::size_t size = std::strtoul(
-        std::string(body.substr(pos, eol - pos)).c_str(), nullptr, 16);
-    if (size == 0) break;  // terminating chunk
-    if (body.size() < eol + 2 + size + 2) break;  // chunk still in flight
-    out.append(body.substr(eol + 2, size));
-    pos = eol + 2 + size + 2;
-  }
-  return out;
 }
 
 /// One streaming HTTP client over a raw non-blocking loopback socket:

@@ -13,18 +13,13 @@
 //   curl -s localhost:9179/v1/metrics | grep gill_collector_peers
 //   curl -N 'localhost:9179/v1/stream?prefix=10.0.0.0/8'
 //
-// Single-threaded sessions by design (DESIGN.md §7/§14): every session's
-// transport, FSM and RIB live on the ingest thread, so the daemon hot path
-// never takes a lock; the merge plane harvests the ingest mirror for the
-// sampling pipeline.
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
+// Single-threaded ingest by design (DESIGN.md §7/§14): every session's and
+// BMP feed's transport, decoder and RIB, the filter table and the archive's
+// writes live on the ingest thread, so the hot path never takes a lock; the
+// merge plane harvests the ingest mirror for the sampling pipeline.
 #include <csignal>
 #include <cstdio>
 #include <ctime>
-#include <map>
 #include <memory>
 #include <span>
 
@@ -34,12 +29,9 @@
 #include "collector/archive_routes.hpp"
 #include "collector/platform.hpp"
 #include "collector/sharded.hpp"
-#include "daemon/bmp_ingest.hpp"
 #include "net/event_loop.hpp"
 #include "net/http_endpoint.hpp"
-#include "net/overload.hpp"
 #include "net/stream.hpp"
-#include "net/tcp_transport.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -56,7 +48,8 @@ constexpr const char* kUsage =
     "  --dial HOST:PORT:ASN   dial an outbound peering (repeatable; IPv6\n"
     "                         hosts in brackets: [::1]:1790:65001)\n"
     "  --local-as N           our AS number (default 65000)\n"
-    "  --max-peers N          refuse sessions beyond this (default 4096)\n"
+    "  --max-peers N          refuse connections while N BGP sessions and\n"
+    "                         BMP feeds are open (default 4096)\n"
     "  --tick-ms N            session timer tick: hold, keepalive, GR, RIB\n"
     "                         dumps, rotation and refresh (default 200);\n"
     "                         updates are decoded and streamed as they arrive\n"
@@ -152,8 +145,9 @@ int main(int argc, char** argv) {
       args.get_int("stream-queue-bytes", 1024 * 1024);
 
   metrics::Registry& registry = metrics::default_registry();
-  // The control loop: HTTP, BMP feeds, stream fan-out, archive rotation
-  // and the merge cadence. BGP sessions live on the ingest loop.
+  // The control loop: HTTP, stream fan-out, the archive's query side and
+  // retention, and the merge cadence. BGP sessions, BMP feeds and the
+  // archive's writes live on the ingest loop.
   // Destruction order matters: the loop must outlive every fd owner below.
   net::EventLoop loop;
   // The merged filter refresh runs on this pool so the control loop never
@@ -196,7 +190,7 @@ int main(int argc, char** argv) {
   // Per-peer ingest policing: a token bucket caps bytes/second and a
   // bounded inbound queue pauses EPOLLIN above the high watermark (real
   // TCP backpressure — the sender's window closes, not our memory). Both
-  // police one session each, on the ingest thread, lock-free.
+  // police each session and BMP feed, on the ingest thread, lock-free.
   config.ingest_limits.max_bytes_per_sec = static_cast<double>(max_peer_rate);
   config.ingest_limits.queue_high_watermark =
       queue_watermark > 0 ? static_cast<std::size_t>(queue_watermark) : 0;
@@ -205,8 +199,9 @@ int main(int argc, char** argv) {
   // reaches the session layer.
   config.accept_rate = static_cast<double>(accept_rate);
   config.on_session = [](bgp::VpId vp, const std::string& peer_ip) {
-    std::fprintf(stderr, "[collectord] vp%u peering from %s\n", vp,
-                 peer_ip.c_str());
+    const bool bmp = vp >= collect::ShardedPlatform::kFirstBmpVp;
+    std::fprintf(stderr, "[collectord] vp%u %s from %s\n", vp,
+                 bmp ? "BMP feed" : "peering", peer_ip.c_str());
   };
   // Per-session RIB snapshots land in the segment store (--archive-dir).
   if (snapshot_secs > 0) {
@@ -281,20 +276,22 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // The ingest thread's sessions and the control thread's BMP feeds write
-  // the archive concurrently; the LockedSink serializes them (and the
-  // control thread's rotation ticks below).
-  std::unique_ptr<collect::LockedSink> archive_sink;
-  if (archive_writer) {
-    archive_sink = std::make_unique<collect::LockedSink>(archive_writer.get());
-    platform.set_archive(archive_sink.get());
-  }
+  // Only the ingest thread writes the archive, rotation included; this
+  // thread keeps what the writer guards itself (manifest generation,
+  // retention) and close(), after the ingest loop stops.
+  if (archive_writer) platform.set_archive(archive_writer.get());
 
-  // The BGP listener lives on the ingest loop, where admission (peer cap,
-  // accept governor) runs too.
+  // The BGP and BMP listeners live on the ingest loop, where admission
+  // (the live-connection cap, the accept governor) runs too.
   if (!platform.listen(bind_ip, listen_port)) {
     std::fprintf(stderr, "error: cannot listen on %s:%u\n", bind_ip.c_str(),
                  listen_port);
+    return 1;
+  }
+  if (bmp_port > 0 &&
+      !platform.listen_bmp(bind_ip, static_cast<std::uint16_t>(bmp_port))) {
+    std::fprintf(stderr, "error: cannot listen on %s:%ld (BMP)\n",
+                 bind_ip.c_str(), bmp_port);
     return 1;
   }
 
@@ -316,54 +313,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "[collectord] dialing %s:%u (AS%u)\n",
                  host.c_str(), port, asn);
-  }
-
-  // BMP feeds are ingest-only byte streams (no session FSM): one decoder
-  // per connection, read straight off the loop. The stream hub is built
-  // later (it needs the HTTP endpoint); this pointer is filled in before
-  // the loop runs, so every accepted BMP feed publishes into it too.
-  net::StreamHub* live_stream = nullptr;
-  std::map<int, std::unique_ptr<daemon::BmpIngest>> bmp_streams;
-  bgp::VpId next_bmp_vp = 100000;  // label space disjoint from BGP VPs
-  net::TcpListener bmp_listener(loop, &registry);
-  if (bmp_port > 0) {
-    const bool bmp_ok = bmp_listener.listen(
-        bind_ip, static_cast<std::uint16_t>(bmp_port),
-        [&](int fd, std::string peer_ip, std::uint16_t) {
-          // Kept BMP updates go to the same archive as the BGP sessions'.
-          auto ingest = std::make_unique<daemon::BmpIngest>(
-              next_bmp_vp++, &platform.filters(), archive_sink.get(),
-              &registry);
-          auto* raw = ingest.get();
-          raw->set_mirror([&live_stream](const bgp::Update& update) {
-            if (live_stream != nullptr) live_stream->publish(update);
-          });
-          bmp_streams.emplace(fd, std::move(ingest));
-          loop.add(fd, net::kReadable, [&, fd, raw](std::uint32_t) {
-            std::uint8_t buffer[16384];
-            for (;;) {
-              const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-              if (n > 0) {
-                raw->feed(std::span(buffer, static_cast<std::size_t>(n)),
-                          now_seconds());
-                continue;
-              }
-              if (n < 0 && errno == EINTR) continue;
-              if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-              loop.remove(fd);  // EOF or error: stream over
-              ::close(fd);
-              bmp_streams.erase(fd);
-              return;
-            }
-          });
-          std::fprintf(stderr, "[collectord] BMP feed from %s\n",
-                       peer_ip.c_str());
-        });
-    if (!bmp_ok) {
-      std::fprintf(stderr, "error: cannot listen on %s:%ld (BMP)\n",
-                   bind_ip.c_str(), bmp_port);
-      return 1;
-    }
   }
 
   net::HttpEndpoint http(loop, &registry);
@@ -394,7 +343,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(stream_queue_bytes);
   }
   net::StreamHub stream_hub(http, stream_config, &registry);
-  live_stream = &stream_hub;
   platform.set_stream_publisher(
       [&stream_hub](std::span<const bgp::Update> batch) {
         stream_hub.publish(batch);
@@ -406,17 +354,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The ingest loop decodes a session's bytes in the readable event that
-  // read them; its timer wheel keeps the session timers (hold, keepalive,
-  // GR, RIB dumps, memory watermark, socket sync). The control tick here
-  // runs the merge cadence and rotates the archive; the stream hand-off
-  // runs after every pass of this loop (see below).
+  // The ingest loop decodes a session's or feed's bytes in the readable
+  // event that read them; its timer wheel keeps the timers (hold,
+  // keepalive, GR, RIB dumps, memory watermark, socket sync, archive
+  // rotation). The control tick here runs the merge cadence and follows
+  // the manifest; the stream hand-off runs after every pass of this loop
+  // (see below).
   platform.start(static_cast<std::uint64_t>(tick_ms));
   std::uint64_t seen_manifest_generation = 0;
   loop.call_every(static_cast<std::uint64_t>(tick_ms), [&] {
     platform.control_tick(now_seconds());
     if (archive_writer) {
-      archive_sink->with_lock([&] { archive_writer->tick(now_seconds()); });
       // The engine re-reads the manifest only when it actually changed
       // (seal or GC) — the whole point of the shared engine over the old
       // per-request reader.
@@ -472,10 +420,8 @@ int main(int argc, char** argv) {
   // harvest below runs single-threaded.
   platform.stop();
   std::fprintf(stderr,
-               "[collectord] shutting down: %zu peers, %zu BMP streams, "
-               "%zu updates stored\n",
-               platform.peer_count(), bmp_streams.size(),
-               platform.stored_updates());
+               "[collectord] shutting down: %zu peers, %zu updates stored\n",
+               platform.peer_count(), platform.stored_updates());
   // Drain every asynchronous producer BEFORE the final metrics dump: the
   // archive writer's in-flight disk jobs and any merged filter refresh
   // still on the analysis pool would otherwise mutate counters after (or
@@ -490,10 +436,6 @@ int main(int argc, char** argv) {
   }
   if (args.has("metrics") && !cli::dump_metrics(args.get("metrics", "-"))) {
     return 1;
-  }
-  for (auto& [fd, stream] : bmp_streams) {
-    loop.remove(fd);
-    ::close(fd);
   }
   return 0;
 }

@@ -2,13 +2,16 @@
 # Flap-storm soak: builds the soak-labeled chaos tests (tests/soak_test.cpp,
 # the /v1/stream distribution-plane tests in tests/stream_test.cpp and the
 # ingest-loop storm in tests/sharded_test.cpp: sessions flap on the
-# collector's ingest thread while merge refreshes run on the analysis pool)
-# plus the scenario-labeled closed-loop harness (tests/scenario_test.cpp:
-# route-leak and sub-prefix-hijack replays driving a real gill-collectord
-# over shaped loopback TCP), the archive group (tests/archive_test.cpp,
-# tests/query_engine_test.cpp and bench_archive: on-disk footer/torn-tail
-# parsing under ASan, the query-under-churn race — parallel scans vs
-# sealing vs GC — and 4-client concurrent scans under TSan) and the
+# collector's ingest thread while merge refreshes run on the analysis pool,
+# and sessions write a real segment writer — one I/O worker, no lock — on
+# the ingest thread while the control thread reads its manifest generation
+# and runs retention) plus the scenario-labeled closed-loop harness
+# (tests/scenario_test.cpp: route-leak and sub-prefix-hijack replays
+# driving a real gill-collectord over shaped loopback TCP), the archive
+# group (tests/archive_test.cpp, tests/query_engine_test.cpp and
+# bench_archive: on-disk footer/torn-tail parsing under ASan, the
+# query-under-churn race — parallel scans vs sealing vs GC — and 4-client
+# concurrent scans under TSan) and the
 # parallel group (tests/parallel_test.cpp, tests/metrics_test.cpp and the
 # merge plane's refresh tests in tests/sharded_test.cpp: the analysis
 # pool, the registry's concurrency smokes and a refresh job held in

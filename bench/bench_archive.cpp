@@ -16,6 +16,7 @@
 // >= 4 hardware threads) pin down the two claims the query engine makes:
 // the cache removes the disk+decompress cost, and segment fan-out turns
 // extra cores into operator-visible throughput.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -43,6 +44,8 @@ constexpr double kStrictHotSpeedupFloor = 2.0;
 constexpr double kStrictConcurrentScalingFloor = 1.5;
 constexpr int kConcurrentClients = 4;
 constexpr int kScansPerClient = 3;
+/// Timed rounds per pool size; the scaling figure compares their medians.
+constexpr int kTimedRounds = 3;
 
 std::string json_number(double value) {
   char buffer[32];
@@ -73,35 +76,63 @@ std::uint64_t drain_engine(archive::QueryEngine& engine) {
   return cursor->records_streamed();
 }
 
-/// kConcurrentClients threads each running kScansPerClient full scans on a
-/// shared engine with `threads` scan workers and no cache (disk+decompress
-/// on every scan — the part fan-out is supposed to hide). Returns
-/// records/sec aggregated over all clients.
-double concurrent_throughput(const std::string& directory,
-                             std::size_t threads,
-                             metrics::Registry& registry) {
+/// One pool size's concurrent figure: every timed round's records/sec and
+/// their median.
+struct ConcurrentRun {
+  std::vector<double> rounds;
+  double median = 0.0;
+};
+
+/// Rounds of kConcurrentClients threads each running kScansPerClient full
+/// scans on a shared engine with `threads` scan workers and no cache
+/// (disk+decompress on every scan — the part fan-out is supposed to hide),
+/// each round's figure being records/sec aggregated over all clients. One
+/// untimed round first wakes the pool's threads and the idle vCPUs, which
+/// a ~0.1 s round would otherwise mostly measure; then kTimedRounds timed
+/// rounds.
+ConcurrentRun concurrent_throughput(const std::string& directory,
+                                    std::size_t threads,
+                                    metrics::Registry& registry) {
   par::ThreadPool pool(threads, &registry);
   archive::QueryEngineConfig config;
   config.directory = directory;
   config.pool = &pool;
   config.registry = &registry;
   archive::QueryEngine engine(config);
-  if (!engine.open()) return 0.0;
-  std::vector<std::uint64_t> streamed(kConcurrentClients, 0);
-  const bench::Stopwatch watch;
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kConcurrentClients; ++c) {
-    clients.emplace_back([&engine, &streamed, c] {
-      for (int i = 0; i < kScansPerClient; ++i) {
-        streamed[static_cast<std::size_t>(c)] += drain_engine(engine);
-      }
-    });
+  ConcurrentRun run;
+  if (!engine.open()) return run;
+  const auto round = [&engine] {
+    std::vector<std::uint64_t> streamed(kConcurrentClients, 0);
+    const bench::Stopwatch watch;
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kConcurrentClients; ++c) {
+      clients.emplace_back([&engine, &streamed, c] {
+        for (int i = 0; i < kScansPerClient; ++i) {
+          streamed[static_cast<std::size_t>(c)] += drain_engine(engine);
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    const double seconds = watch.seconds();
+    std::uint64_t total = 0;
+    for (const std::uint64_t records : streamed) total += records;
+    return seconds > 0.0 ? static_cast<double>(total) / seconds : 0.0;
+  };
+  (void)round();  // warm-up, untimed
+  for (int r = 0; r < kTimedRounds; ++r) run.rounds.push_back(round());
+  std::vector<double> sorted = run.rounds;
+  std::sort(sorted.begin(), sorted.end());
+  run.median = sorted[sorted.size() / 2];
+  return run;
+}
+
+std::string json_array(const std::vector<double>& values) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ",";
+    out += json_number(values[i]);
   }
-  for (auto& client : clients) client.join();
-  const double seconds = watch.seconds();
-  std::uint64_t total = 0;
-  for (const std::uint64_t records : streamed) total += records;
-  return seconds > 0.0 ? static_cast<double>(total) / seconds : 0.0;
+  return out + "]";
 }
 
 }  // namespace
@@ -220,12 +251,14 @@ int main(int argc, char** argv) {
                                  : 0.0;
 
   // Concurrent clients: same store, no cache, 1-thread vs 4-thread scan
-  // pool. The ratio is what an operator gains from cores when several
-  // GET /v1/data requests land at once.
-  const double throughput_pool1 =
+  // pool. The ratio of the median rounds is what an operator gains from
+  // cores when several GET /v1/data requests land at once.
+  const ConcurrentRun run_pool1 =
       concurrent_throughput(dir.string(), 1, registry);
-  const double throughput_pool4 =
+  const ConcurrentRun run_pool4 =
       concurrent_throughput(dir.string(), 4, registry);
+  const double throughput_pool1 = run_pool1.median;
+  const double throughput_pool4 = run_pool4.median;
   const double concurrent_scaling =
       throughput_pool1 > 0.0 ? throughput_pool4 / throughput_pool1 : 0.0;
 
@@ -285,6 +318,8 @@ int main(int argc, char** argv) {
           json_number(throughput_pool1) + ",";
   json += "\"throughput_pool4_records_per_sec\":" +
           json_number(throughput_pool4) + ",";
+  json += "\"throughput_pool1_rounds\":" + json_array(run_pool1.rounds) + ",";
+  json += "\"throughput_pool4_rounds\":" + json_array(run_pool4.rounds) + ",";
   json += "\"concurrent_scaling\":" + json_number(concurrent_scaling) + ",";
   json += "\"hardware_threads\":" + std::to_string(hw_threads) + ",";
   json += "\"strict_append_records_per_sec_floor\":" +

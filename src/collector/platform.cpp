@@ -41,9 +41,6 @@ Platform::PlatformCounters::PlatformCounters(metrics::Registry& registry)
     : mirrored_updates(registry.counter(
           "gill_collector_mirrored_updates_total",
           "Updates mirrored into the sampling buffer")),
-      forwarded_updates(registry.counter(
-          "gill_collector_forwarded_updates_total",
-          "Updates pushed to operator forwarding rules (custom services)")),
       quarantines(registry.counter("gill_collector_quarantines_total",
                                    "Peers entering quarantine")),
       sheds(registry.counter(
@@ -83,7 +80,7 @@ VpId Platform::add_faulty_peer(bgp::AsNumber peer_as, Timestamp now,
                                const daemon::FaultProfile& profile) {
   auto varied = profile;
   // De-correlate the fault streams of concurrent sessions.
-  varied.seed ^= 0xD1B54A32D192ED03ULL * (next_vp_ + 1);
+  varied.seed ^= 0xD1B54A32D192ED03ULL * (labels_.next_session() + 1);
   return add_peer_internal(peer_as, now,
                            std::make_unique<daemon::FaultyTransport>(varied),
                            /*make_fake_peer=*/true, /*arm_retry=*/true);
@@ -106,24 +103,64 @@ VpId Platform::add_dialed_peer(bgp::AsNumber peer_as, Timestamp now,
                            /*make_fake_peer=*/false, /*arm_retry=*/true);
 }
 
+VpId Platform::add_bmp_feed(Timestamp now,
+                            std::unique_ptr<daemon::Transport> transport) {
+  const VpId vp = labels_.take_bmp();
+  BmpFeed feed{std::move(transport),
+               std::make_unique<daemon::BmpIngest>(vp, &filters_, archive_,
+                                                   registry_)};
+  feed.ingest->set_mirror([this](const bgp::Update& update) { tap(update); });
+  feed.ingest->set_peer_labels([this] { return labels_.take_bmp(); });
+  // Whatever the transport already holds is decoded now.
+  feed_bmp(bmp_feeds_.emplace(vp, std::move(feed)).first->second, now);
+  return vp;
+}
+
 std::size_t Platform::stored_updates() const {
-  std::size_t total = 0;
+  std::size_t total = dropped_feeds_stored_;
   for (const auto& [vp, peer] : peers_) {
     total += peer.daemon->stats().updates_stored;
   }
+  for (const auto& [vp, feed] : bmp_feeds_) {
+    total += feed.ingest->stats().updates_stored;
+  }
   return total;
+}
+
+std::size_t Platform::connection_count() const noexcept {
+  std::size_t open = 0;
+  for (const auto& [vp, peer] : peers_) {
+    if (peer.transport->connected()) ++open;
+  }
+  for (const auto& [vp, feed] : bmp_feeds_) {
+    if (feed.transport->connected()) ++open;
+  }
+  return open;
 }
 
 void Platform::set_archive(mrt::Sink* archive) {
   archive_ = archive;
   for (auto& [vp, peer] : peers_) peer.daemon->set_archive(archive);
+  for (auto& [vp, feed] : bmp_feeds_) feed.ingest->set_archive(archive);
+}
+
+void Platform::tap(const bgp::Update& update) {
+  if (excluded(update.vp)) return;  // a degraded feed must not poison sampling
+  // A BMP feed cannot be shed, so while degraded it leaves the mirror
+  // alone: the mirror stops growing until memory recovers and the held
+  // refresh harvests it. Its updates still reach the stream.
+  if (!degraded_ || update.vp < kFirstBmpVp) {
+    mirror_.push(update);
+    counters_.mirrored_updates.inc();
+  }
+  if (stream_publisher_) stream_publisher_(update);
 }
 
 VpId Platform::add_peer_internal(
     bgp::AsNumber peer_as, Timestamp now,
     std::unique_ptr<daemon::Transport> transport, bool make_fake_peer,
     bool arm_retry) {
-  const VpId vp = next_vp_++;
+  const VpId vp = labels_.take_session();
   Peer peer;
   peer.vp = vp;
   peer.as = peer_as;
@@ -132,13 +169,7 @@ VpId Platform::add_peer_internal(
       vp, config_.local_as, *peer.transport, &filters_, nullptr, registry_);
   peer.daemon->set_graceful_restart(config_.gr);
   if (archive_ != nullptr) peer.daemon->set_archive(archive_);
-  peer.daemon->set_mirror([this, vp](const bgp::Update& update) {
-    if (excluded(vp)) return;  // a degraded feed must not poison sampling
-    mirror_.push(update);
-    counters_.mirrored_updates.inc();
-    forward(update);  // §14 custom services run before any discarding
-    if (stream_publisher_) stream_publisher_(update);
-  });
+  peer.daemon->set_mirror([this](const bgp::Update& update) { tap(update); });
   if (arm_retry) {
     auto retry = config_.retry;
     retry.jitter_seed ^= 0x9E3779B97F4A7C15ULL * (vp + 1);
@@ -177,9 +208,33 @@ void Platform::step(Timestamp now) {
     peer.daemon->tick(now);
     observe_health(peer, now);
   }
+  // In-memory feeds have no inbound hook: their bytes wait for the step.
+  for (auto& [vp, feed] : bmp_feeds_) feed_bmp(feed, now);
+  for (auto& [vp, peer] : peers_) peer.transport->sync();
+  // A feed's socket closes inside its own readable event, whose hook must
+  // not destroy the transport: the step drops it.
+  std::erase_if(bmp_feeds_, [this](const auto& entry) {
+    const BmpFeed& feed = entry.second;
+    if (feed.transport->connected()) return false;
+    dropped_feeds_stored_ += feed.ingest->stats().updates_stored;
+    return true;
+  });
+  for (auto& [vp, feed] : bmp_feeds_) feed.transport->sync();
+  if (archive_ != nullptr) archive_->tick(now);
+}
+
+void Platform::feed_bmp(BmpFeed& feed, Timestamp now) {
+  const auto bytes = feed.transport->to_daemon.peek();
+  if (bytes.empty()) return;
+  feed.ingest->feed(bytes, now);
+  feed.transport->to_daemon.consume(bytes.size());
 }
 
 void Platform::poll_peer(VpId vp, Timestamp now) {
+  if (const auto feed = bmp_feeds_.find(vp); feed != bmp_feeds_.end()) {
+    feed_bmp(feed->second, now);
+    return;
+  }
   const auto it = peers_.find(vp);
   if (it == peers_.end()) return;
   Peer& peer = it->second;
@@ -361,13 +416,13 @@ std::string to_json(const HealthSnapshot& snapshot) {
   return feed::Json(std::move(root)).dump();
 }
 
-FilterRefresh compute_refresh(bgp::UpdateStream mirror,
-                              const std::vector<VpId>& quarantined,
-                              const sample::GillConfig& gill,
+FilterRefresh compute_refresh(Harvest harvest, const sample::GillConfig& gill,
                               par::ThreadPool* pool) {
   FilterRefresh refresh;
-  if (!quarantined.empty()) {
-    const std::unordered_set<VpId> bad(quarantined.begin(), quarantined.end());
+  bgp::UpdateStream& mirror = harvest.mirror;
+  if (!harvest.quarantined.empty()) {
+    const std::unordered_set<VpId> bad(harvest.quarantined.begin(),
+                                       harvest.quarantined.end());
     bgp::UpdateStream kept;
     for (const auto& update : mirror) {
       if (!bad.contains(update.vp)) kept.push(update);
@@ -386,47 +441,29 @@ FilterRefresh compute_refresh(bgp::UpdateStream mirror,
 }
 
 void Platform::refresh_filters(par::ThreadPool* pool) {
-  FilterRefresh refresh =
-      compute_refresh(take_mirror(), quarantined_vps(), config_.gill, pool);
+  FilterRefresh refresh = compute_refresh(harvest(), config_.gill, pool);
   install_filters(std::move(refresh.filters), std::move(refresh.anchors));
 }
 
-bgp::UpdateStream Platform::take_mirror() {
-  bgp::UpdateStream mirror = std::move(mirror_);
+Harvest Platform::harvest() {
+  Harvest harvest{std::move(mirror_), {}};
   mirror_ = bgp::UpdateStream{};
-  return mirror;
+  for (const auto& [vp, peer] : peers_) {
+    if (peer.health.status == PeerStatus::kQuarantined) {
+      harvest.quarantined.push_back(vp);
+    }
+  }
+  return harvest;
 }
 
 void Platform::install_filters(filt::FilterTable filters,
                                std::vector<VpId> anchors) {
-  // Daemons (and the collector's BMP decoders) hold a pointer to filters_
-  // and read it only between polls, so the swap must run on the thread
-  // that owns this platform.
+  // Daemons and BMP decoders hold a pointer to filters_ and read it only
+  // between polls, so the swap must run on the thread that owns this
+  // platform.
   filters_ = std::move(filters);
   anchors_ = std::move(anchors);
   ++generation_;
-}
-
-std::vector<VpId> Platform::quarantined_vps() const {
-  std::vector<VpId> vps;
-  for (const auto& [vp, peer] : peers_) {
-    if (peer.health.status == PeerStatus::kQuarantined) vps.push_back(vp);
-  }
-  return vps;
-}
-
-void Platform::add_forwarding_rule(const net::Prefix& prefix,
-                                   ForwardingSink sink) {
-  forwarding_rules_.emplace_back(prefix, std::move(sink));
-}
-
-void Platform::forward(const bgp::Update& update) const {
-  for (const auto& [prefix, sink] : forwarding_rules_) {
-    if (prefix.covers(update.prefix)) {
-      counters_.forwarded_updates.inc();
-      sink(update);
-    }
-  }
 }
 
 std::string filter_document(const filt::FilterTable& filters) {

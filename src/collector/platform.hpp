@@ -1,9 +1,10 @@
-// The GILL platform (Fig. 9, §8-§9): manages one BGP daemon per peer,
-// mirrors incoming updates for the sampling algorithms, and loads filter
-// sets into the daemons. The refresh computation (Components #1/#2 over the
-// mirror, then filter generation) is one free function, compute_refresh();
-// its periodic schedule lives in the collector's merge plane (sharded.hpp),
-// while Platform::refresh_filters() runs it once over this platform's own
+// The GILL platform (Fig. 9, §8-§9, §14): owns every feed — one BGP daemon
+// per peering session and one BMP decoder per BMP feed — mirrors their
+// incoming updates for the sampling algorithms, and loads filter sets into
+// them. The refresh computation (Components #1/#2 over the mirror, then
+// filter generation) is one free function, compute_refresh(); its periodic
+// schedule lives in the collector's merge plane (sharded.hpp), while
+// Platform::refresh_filters() runs it once over this platform's own
 // mirror. The two supporting documents (the filter description and the
 // anchor-VP list) render from whatever filter set is installed.
 #pragma once
@@ -12,8 +13,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
+#include "daemon/bmp_ingest.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/faults.hpp"
 #include "metrics/metrics.hpp"
@@ -129,15 +132,21 @@ struct FilterRefresh {
   std::size_t purged = 0;
 };
 
+/// A refresh's input, taken from the platform in one step: the mirrored
+/// window (in arrival order) and the VPs quarantined when it was taken.
+struct Harvest {
+  bgp::UpdateStream mirror;
+  std::vector<VpId> quarantined;
+};
+
 /// The one filter-refresh computation (Fig. 9), in this order: drop the
-/// updates of `quarantined` VPs (a flapping feed's mirrored data is as
-/// suspect as the session that produced it), sort the window, then run
-/// the GILL pipeline over it. Pure: it touches only its arguments, so it
-/// may run on a worker. `pool` (may be null) fans out the pipeline's
-/// parallel stages; null runs them serially on the calling thread.
-FilterRefresh compute_refresh(bgp::UpdateStream mirror,
-                              const std::vector<VpId>& quarantined,
-                              const sample::GillConfig& gill,
+/// updates of the harvest's quarantined VPs (a flapping feed's mirrored
+/// data is as suspect as the session that produced it), sort the window,
+/// then run the GILL pipeline over it. Pure: it touches only its
+/// arguments, so it may run on a worker. `pool` (may be null) fans out the
+/// pipeline's parallel stages; null runs them serially on the calling
+/// thread.
+FilterRefresh compute_refresh(Harvest harvest, const sample::GillConfig& gill,
                               par::ThreadPool* pool);
 
 /// The two published documents (§9), rendered from an installed filter set
@@ -158,8 +167,43 @@ struct Peer {
   PeerHealth health;
 };
 
+/// One BMP feed (RFC 7854): its byte stream and its decoder.
+struct BmpFeed {
+  std::unique_ptr<daemon::Transport> transport;
+  std::unique_ptr<daemon::BmpIngest> ingest;
+};
+
+/// VP labels in two ranges that never meet, so a session can never take a
+/// BMP feed's label (the inbound hook, the filters and the archive all key
+/// on it, and the collector tells the two apart by range): BGP sessions
+/// count from 0 to kFirstBmpVp - 1, BMP feeds and the peers they monitor
+/// from kFirstBmpVp up.
+class VpLabels {
+ public:
+  static constexpr VpId kFirstBmpVp = 100000;
+
+  /// The label the next session takes; kFirstBmpVp once none is left.
+  VpId next_session() const noexcept { return next_session_; }
+  /// Takes the next session label; throws std::length_error once the
+  /// session range is used up.
+  VpId take_session() {
+    if (next_session_ == kFirstBmpVp) {
+      throw std::length_error("every BGP session label is taken");
+    }
+    return next_session_++;
+  }
+  VpId take_bmp() noexcept { return next_bmp_++; }
+
+ private:
+  VpId next_session_ = 0;
+  VpId next_bmp_ = kFirstBmpVp;
+};
+
 class Platform {
  public:
+  /// BMP feeds are labelled from here up, apart from the BGP sessions.
+  static constexpr VpId kFirstBmpVp = VpLabels::kFirstBmpVp;
+
   explicit Platform(PlatformConfig config = {});
 
   /// Starts a new peering session; returns the assigned VP id. The remote
@@ -186,6 +230,18 @@ class Platform {
   VpId add_dialed_peer(bgp::AsNumber peer_as, Timestamp now,
                        std::unique_ptr<daemon::Transport> transport);
 
+  /// Opens a BMP feed over `transport` (the monitored router writes into
+  /// its to_daemon queue) and returns its VP label, from kFirstBmpVp up.
+  /// The first peer the router monitors is labelled with it, every later
+  /// one with the next free BMP label (BmpIngest::set_peer_labels). Its
+  /// updates take the sessions' path: the sampling mirror, the stream tap,
+  /// the filter table and the archive sink; while the platform is degraded
+  /// they skip the mirror, as a feed cannot be shed. A feed stays out of
+  /// peer_count(), health, shedding and quarantine, and step() drops it
+  /// once its transport disconnects.
+  VpId add_bmp_feed(Timestamp now,
+                    std::unique_ptr<daemon::Transport> transport);
+
   /// The scripted remote of an in-process session. Only valid for peers
   /// created by add_peer/add_faulty_peer (remote sessions have no local
   /// fake peer; see has_remote()).
@@ -200,7 +256,16 @@ class Platform {
   /// daemon (periodic RIB dumps in gill_collectord, test hooks).
   daemon::BgpDaemon& daemon_mut(VpId vp) { return *peers_.at(vp).daemon; }
   daemon::Transport& transport_of(VpId vp) { return *peers_.at(vp).transport; }
+  /// BGP sessions, open or closed; BMP feeds do not count.
   std::size_t peer_count() const noexcept { return peers_.size(); }
+  /// False once every session label is taken (VpLabels): the session
+  /// adders then throw std::length_error.
+  bool session_labels_left() const noexcept {
+    return labels_.next_session() < kFirstBmpVp;
+  }
+  /// Sessions and BMP feeds whose transport is connected (the collector's
+  /// --max-peers admission cap).
+  std::size_t connection_count() const noexcept;
 
   /// Per-peer session health (flap counters and quarantine state).
   const PeerHealth& health(VpId vp) const { return peers_.at(vp).health; }
@@ -217,15 +282,18 @@ class Platform {
   /// expose_prometheus() is the scrape endpoint.
   metrics::Registry& metrics() const noexcept { return *registry_; }
 
-  /// Drives all sessions: polls daemons and remotes, expires hold timers,
-  /// and applies the quarantine and overload policies.
+  /// Drives every feed: polls daemons and remotes, expires hold timers,
+  /// applies the quarantine and overload policies, decodes the BMP feeds'
+  /// queued bytes, syncs every transport (frozen ones too), drops BMP
+  /// feeds whose transport disconnected and ticks the archive sink.
   void step(Timestamp now);
 
-  /// Decodes what one session's transport has delivered, the part of
-  /// step() that reads: the same BgpDaemon::poll, with shed and
-  /// quarantined peers left frozen exactly as step() leaves them. A
-  /// transport's inbound hook calls it so updates are decoded as they
-  /// arrive; timers stay on step(). Unknown VPs are ignored.
+  /// Decodes what one session's or BMP feed's transport has delivered, the
+  /// part of step() that reads: the same BgpDaemon::poll, with shed and
+  /// quarantined peers left frozen exactly as step() leaves them, or the
+  /// feed's BmpIngest. A transport's inbound hook calls it so updates are
+  /// decoded as they arrive; timers stay on step(). Unknown VPs are
+  /// ignored.
   void poll_peer(VpId vp, Timestamp now);
 
   /// One synchronous refresh over this platform's own mirror: harvests the
@@ -238,35 +306,32 @@ class Platform {
   /// Monotonic id of the installed filter set; bumps on every install.
   std::uint64_t filter_generation() const noexcept { return generation_; }
 
-  /// Updates this platform's sessions kept (passed the filters): the sum
-  /// of their daemons' updates_stored counters, sink or no sink.
+  /// Updates this platform's sessions and BMP feeds kept (passed the
+  /// filters), sink or no sink; dropped feeds still count.
   std::size_t stored_updates() const;
 
-  /// Routes every daemon's stored records (updates that survive the
-  /// filters, plus RIB snapshots) into `archive`, the one place a session
-  /// writes what it keeps. The caller owns the sink: the collector passes
-  /// its archive::SegmentWriter, callers that read records back a
-  /// daemon::MrtStore. Without one, kept updates are counted and dropped.
-  /// Applies to existing sessions and every session added later; nullptr
-  /// detaches.
+  /// Routes every feed's stored records (updates that survive the filters,
+  /// plus RIB snapshots) into `archive`, the one place a session or BMP
+  /// feed writes what it keeps; step() ticks it. The caller owns the sink:
+  /// the collector passes its archive::SegmentWriter, callers that read
+  /// records back a daemon::MrtStore. Without one, kept updates are
+  /// counted and dropped. Applies to open feeds and every feed added
+  /// later; nullptr detaches.
   void set_archive(mrt::Sink* archive);
 
   /// The mirror buffer currently held for the next sampling run.
   const bgp::UpdateStream& mirror() const noexcept { return mirror_; }
 
-  /// Drains the mirror (the window restarts empty) and hands it to the
-  /// caller — the refresh's harvest primitive. Must run on the thread that
-  /// owns this platform (the collector's ingest thread).
-  bgp::UpdateStream take_mirror();
+  /// A refresh's input in one step: drains the mirror (the window restarts
+  /// empty) and reads the quarantine roster, so a VP quarantined after the
+  /// window was taken cannot keep its updates in it. Must run on the thread
+  /// that owns this platform (the collector's ingest thread).
+  Harvest harvest();
 
   /// Installs a computed filter set and anchor roster and bumps the filter
   /// generation. The merge plane runs the pipeline over the harvested
   /// mirror, then installs the result here on the ingest thread.
   void install_filters(filt::FilterTable filters, std::vector<VpId> anchors);
-
-  /// VPs currently frozen by the quarantine policy (refresh input: their
-  /// mirrored updates are purged before sampling).
-  std::vector<VpId> quarantined_vps() const;
 
   const filt::FilterTable& filters() const noexcept { return filters_; }
   const std::vector<VpId>& anchors() const noexcept { return anchors_; }
@@ -279,21 +344,13 @@ class Platform {
     return anchor_document(anchors_);
   }
 
-  /// §14 "custom services": a peering operator registers forwarding rules
-  /// so that updates for their prefixes are pushed to them *before* any
-  /// discarding — full visibility of one's own address space in exchange
-  /// for contributing a feed.
-  using ForwardingSink = std::function<void(const bgp::Update&)>;
-  void add_forwarding_rule(const net::Prefix& prefix, ForwardingSink sink);
-  std::size_t forwarding_rule_count() const noexcept {
-    return forwarding_rules_.size();
-  }
-
   /// The live distribution plane's tap (net::StreamHub::publish): every
-  /// accepted update is handed over right after the mirror tee and the
-  /// custom-service forwarders, before any sampling/discarding. Excluded
+  /// update a session or BMP feed decodes is handed over right after the
+  /// mirror tee, before any discarding; §14's custom services are its
+  /// prefix-filtered subscriptions (/v1/stream?prefix=). Excluded
   /// (quarantined/shed) peers never publish. nullptr detaches.
-  void set_stream_publisher(ForwardingSink publisher) {
+  using StreamPublisher = std::function<void(const bgp::Update&)>;
+  void set_stream_publisher(StreamPublisher publisher) {
     stream_publisher_ = std::move(publisher);
   }
 
@@ -303,7 +360,6 @@ class Platform {
     explicit PlatformCounters(metrics::Registry& registry);
 
     metrics::Counter& mirrored_updates;
-    metrics::Counter& forwarded_updates;
     metrics::Counter& quarantines;
     metrics::Counter& sheds;
     metrics::Counter& readmits;
@@ -314,13 +370,17 @@ class Platform {
     metrics::Gauge& shed_peers;
   };
 
-  void forward(const bgp::Update& update) const;
   VpId add_peer_internal(bgp::AsNumber peer_as, Timestamp now,
                          std::unique_ptr<daemon::Transport> transport,
                          bool make_fake_peer, bool arm_retry);
   /// Detects session flaps (non-Idle -> Idle transitions) and applies the
   /// quarantine policy.
   void observe_health(Peer& peer, Timestamp now);
+  /// The pre-filter tap of every session and BMP feed: the exclusion
+  /// check, the mirror and its counter, then the stream publisher.
+  void tap(const bgp::Update& update);
+  /// Decodes a BMP feed's queued bytes.
+  void feed_bmp(BmpFeed& feed, Timestamp now);
   /// True when `vp`'s mirror data must not reach the sampling buffer
   /// (quarantined or shed).
   bool excluded(VpId vp) const {
@@ -340,10 +400,12 @@ class Platform {
   std::unique_ptr<metrics::Registry> own_registry_;  // when none configured
   metrics::Registry* registry_;
   PlatformCounters counters_;
-  std::vector<std::pair<net::Prefix, ForwardingSink>> forwarding_rules_;
-  ForwardingSink stream_publisher_;
+  StreamPublisher stream_publisher_;
   std::map<VpId, Peer> peers_;
-  VpId next_vp_ = 0;
+  std::map<VpId, BmpFeed> bmp_feeds_;
+  VpLabels labels_;
+  /// Updates kept by BMP feeds that step() has since dropped.
+  std::size_t dropped_feeds_stored_ = 0;
   mrt::Sink* archive_ = nullptr;
   filt::FilterTable filters_;
   std::vector<VpId> anchors_;

@@ -70,33 +70,22 @@ bool ShardedPlatform::listen_bmp(const std::string& host,
   return listen_on(bmp_listener_, host, port, &ShardedPlatform::accept_bmp);
 }
 
-bool ShardedPlatform::listen_on(net::TcpListener& listener,
-                                const std::string& host, std::uint16_t port,
-                                VpId (ShardedPlatform::*accept)(int fd)) {
+bool ShardedPlatform::listen_on(
+    net::TcpListener& listener, const std::string& host, std::uint16_t port,
+    std::optional<VpId> (ShardedPlatform::*accept)(int fd)) {
   auto on_accept = [this, accept](int fd, std::string peer_ip,
                                   std::uint16_t) {
     // One admission for sessions and feeds alike: the live-connection cap,
     // then the per-source accept governor.
-    if (open_connections() >= config_.max_peers ||
+    if (platform_.connection_count() >= config_.max_peers ||
         (governor_ && !governor_->admit(peer_ip, loop_.now_ms()))) {
       ::close(fd);
       return;
     }
-    const VpId vp = (this->*accept)(fd);
-    if (config_.on_session) config_.on_session(vp, peer_ip);
+    const std::optional<VpId> vp = (this->*accept)(fd);
+    if (vp && config_.on_session) config_.on_session(*vp, peer_ip);
   };
   return call([&] { return listener.listen(host, port, on_accept); });
-}
-
-std::size_t ShardedPlatform::open_connections() const {
-  std::size_t open = 0;
-  for (const auto& [vp, transport] : transports_) {
-    if (transport->socket_open()) ++open;
-  }
-  for (const auto& [vp, feed] : bmp_feeds_) {
-    if (feed.transport->socket_open()) ++open;
-  }
-  return open;
 }
 
 std::unique_ptr<net::TcpTransport> ShardedPlatform::policed_transport() {
@@ -106,45 +95,41 @@ std::unique_ptr<net::TcpTransport> ShardedPlatform::policed_transport() {
   return transport;
 }
 
-VpId ShardedPlatform::accept_session(int fd) {
+std::optional<VpId> ShardedPlatform::accept_session(int fd) {
+  if (!platform_.session_labels_left()) {
+    ::close(fd);
+    return std::nullopt;
+  }
   auto transport = policed_transport();
-  auto* raw = transport.get();
-  raw->adopt(fd);
+  auto& raw = *transport;
+  raw.adopt(fd);
   const VpId vp =
       platform_.add_remote_peer(/*peer_as=*/0, now(), std::move(transport));
-  watch_session(vp, *raw);
+  watch(vp, raw);
+  arm_rib_dumps(vp);
   return vp;
 }
 
-void ShardedPlatform::watch_session(VpId vp, net::TcpTransport& transport) {
-  if (config_.rib_dump_interval > 0) {
-    platform_.daemon_mut(vp).enable_rib_dumps(config_.rib_dump_interval);
-  }
-  transports_[vp] = &transport;
+std::optional<VpId> ShardedPlatform::accept_bmp(int fd) {
+  auto transport = policed_transport();
+  auto& raw = *transport;
+  raw.adopt(fd);
+  const VpId vp = platform_.add_bmp_feed(now(), std::move(transport));
+  watch(vp, raw);
+  return vp;
+}
+
+void ShardedPlatform::watch(VpId vp, net::TcpTransport& transport) {
   // Decode on arrival: the readable event that queued the bytes polls the
-  // session, on the ingest thread. The tick keeps only the timers.
+  // session or feeds the BMP decoder, on the ingest thread. The tick keeps
+  // only the timers.
   transport.set_on_inbound([this, vp] { platform_.poll_peer(vp, now()); });
 }
 
-VpId ShardedPlatform::accept_bmp(int fd) {
-  const VpId vp = next_bmp_vp_++;
-  BmpFeed feed{policed_transport(),
-               std::make_unique<daemon::BmpIngest>(vp, &platform_.filters(),
-                                                   archive_, registry_)};
-  // BMP updates reach the stream only: no sampling mirror, no forwarding.
-  feed.ingest->set_mirror(
-      [this](const bgp::Update& update) { push_stream(update); });
-  // Decode on arrival, as for a session: the readable event that queued
-  // the bytes feeds them to the decoder.
-  feed.transport->set_on_inbound(
-      [this, transport = feed.transport.get(), ingest = feed.ingest.get()] {
-        const auto bytes = transport->to_daemon.peek();
-        ingest->feed(bytes, now());
-        transport->to_daemon.consume(bytes.size());
-      });
-  feed.transport->adopt(fd);
-  bmp_feeds_.emplace(vp, std::move(feed));
-  return vp;
+void ShardedPlatform::arm_rib_dumps(VpId vp) {
+  if (config_.rib_dump_interval > 0) {
+    platform_.daemon_mut(vp).enable_rib_dumps(config_.rib_dump_interval);
+  }
 }
 
 bool ShardedPlatform::dial(const std::string& host, std::uint16_t port,
@@ -157,16 +142,14 @@ bool ShardedPlatform::dial(const std::string& host, std::uint16_t port,
     if (!raw->dial(host, port)) return false;
     const VpId vp =
         platform_.add_dialed_peer(asn, now(), std::move(transport));
-    watch_session(vp, *raw);
+    watch(vp, *raw);
+    arm_rib_dumps(vp);
     return true;
   });
 }
 
 void ShardedPlatform::set_archive(mrt::Sink* sink) {
-  call([this, sink] {
-    archive_ = sink;
-    platform_.set_archive(sink);
-  });
+  call([this, sink] { platform_.set_archive(sink); });
 }
 
 void ShardedPlatform::push_stream(const bgp::Update& update) {
@@ -182,7 +165,7 @@ void ShardedPlatform::set_stream_publisher(StreamPublisher publisher) {
 
 void ShardedPlatform::start(std::uint64_t tick_ms) {
   if (running()) return;
-  loop_.call_every(tick_ms, [this] { step(); });
+  loop_.call_every(tick_ms, [this] { platform_.step(now()); });
   thread_ = std::thread([this] { loop_.run(); });
 }
 
@@ -192,19 +175,6 @@ void ShardedPlatform::stop() {
   // stop() racing the thread's first iteration would otherwise be lost.
   loop_.post([this] { loop_.stop(); });
   thread_.join();
-}
-
-void ShardedPlatform::step() {
-  const Timestamp at = now();
-  platform_.step(at);
-  for (auto& [vp, transport] : transports_) transport->sync();
-  // A feed's socket closes inside its own readable event, whose hook must
-  // not destroy the transport: the tick drops it.
-  std::erase_if(bmp_feeds_, [](const auto& entry) {
-    return !entry.second.transport->socket_open();
-  });
-  for (auto& [vp, feed] : bmp_feeds_) feed.transport->sync();
-  if (archive_ != nullptr) archive_->tick(at);
 }
 
 void ShardedPlatform::control_tick(Timestamp now) {
@@ -217,8 +187,8 @@ void ShardedPlatform::control_tick(Timestamp now) {
   if (degraded()) {
     // The pipeline rerun is the most expensive thing we do: defer it while
     // memory is high. The period is not restarted, so the refresh stays due
-    // and runs at the first tick after recovery; the mirror keeps
-    // accumulating meanwhile.
+    // and runs at the first tick after recovery; the sessions' updates keep
+    // accumulating in the mirror meanwhile (BMP feeds' skip it).
     if (!refresh_deferred_) refreshes_deferred_.inc();
     refresh_deferred_ = true;
     return;
@@ -254,30 +224,22 @@ std::size_t ShardedPlatform::stored_updates() const {
   return call([this] { return platform_.stored_updates(); });
 }
 
-bgp::UpdateStream ShardedPlatform::take_merged_mirror() {
-  bgp::UpdateStream mirror = call([this] { return platform_.take_mirror(); });
-  merged_updates_.inc(mirror.size());
-  return mirror;
-}
-
 void ShardedPlatform::refresh_filters(Timestamp now) {
   if (refresh_in_flight()) return;  // one job at a time; its window is its own
   last_refresh_ = now;
   refresh_deferred_ = false;
-  std::vector<VpId> quarantined =
-      call([this] { return platform_.quarantined_vps(); });
-  bgp::UpdateStream mirror = take_merged_mirror();
-  if (mirror.empty()) return;
+  Harvest harvest = call([this] { return platform_.harvest(); });
+  merged_updates_.inc(harvest.mirror.size());
+  if (harvest.mirror.empty()) return;
 
   // The job owns its inputs (the harvested window and the quarantine
   // roster); of the platform it reads only config_ and the duration
   // histogram, so the control thread keeps running meanwhile.
   par::ThreadPool* pool = config_.analysis_pool;
-  auto job = [this, pool, mirror = std::move(mirror),
-              quarantined = std::move(quarantined),
+  auto job = [this, pool, harvest = std::move(harvest),
               started = std::chrono::steady_clock::now()]() mutable {
-    FilterRefresh refresh = compute_refresh(std::move(mirror), quarantined,
-                                            config_.platform.gill, pool);
+    FilterRefresh refresh =
+        compute_refresh(std::move(harvest), config_.platform.gill, pool);
     refresh_duration_us_.observe(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - started)

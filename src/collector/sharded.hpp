@@ -1,19 +1,19 @@
 // The live collector's ingest plane (DESIGN.md §14): one ingest event loop
-// on its own thread — its listeners, every BGP session and BMP feed, and
-// the one Platform — plus the merge plane, the collector's only
+// on its own thread — its listeners, admission and the one Platform — plus
+// the stream outbox and the merge plane, the collector's only
 // filter-refresh schedule: the periodic trigger, its deferral while
 // degraded, the (at most one) job in flight and the install all live here.
 //
-// Ownership model. Everything a feed touches lives on the ingest thread:
-// transports, BGP FSMs and BMP decoders, token buckets, RIBs, the mirror,
-// the filter table (once, in the Platform) and the archive's write side
-// (records, RIB snapshots, the rotation tick). The control thread (HTTP,
-// stream fan-out, the merge plane) reaches them through two doors:
+// Ownership model. The Platform owns every feed, BGP session and BMP feed
+// alike: transports, BGP FSMs and BMP decoders, RIBs, the mirror, the
+// filter table and the archive's write side (records, RIB snapshots, the
+// rotation tick). It lives on the ingest thread, with the listeners, the
+// token buckets and admission control (the live-connection cap and the
+// accept governor), where every accept runs. The control thread (HTTP,
+// stream fan-out, the merge plane) reaches it through two doors:
 // EventLoop::post() and its synchronous spelling call() for harvests and
 // installs, and the stream outbox, a mutex-guarded vector the ingest
-// thread appends to and the control thread swaps out. Admission control
-// (the live-connection cap and the accept governor) runs on the ingest
-// thread, where every accept does.
+// thread appends to and the control thread swaps out.
 //
 // Before start() the loop has no thread, and every call runs inline on
 // the caller's thread: setup, tests that drive in-process sessions
@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "collector/platform.hpp"
-#include "daemon/bmp_ingest.hpp"
 #include "net/event_loop.hpp"
 #include "net/overload.hpp"
 #include "net/tcp_transport.hpp"
@@ -96,9 +94,6 @@ struct ShardedPlatformConfig {
 
 class ShardedPlatform {
  public:
-  /// BMP feeds are labelled from here up, apart from the BGP sessions.
-  static constexpr VpId kFirstBmpVp = 100000;
-
   explicit ShardedPlatform(ShardedPlatformConfig config);
   /// Stops the ingest loop and waits for an in-flight refresh job.
   ~ShardedPlatform();
@@ -110,19 +105,16 @@ class ShardedPlatform {
   /// bind.
   bool listen(const std::string& host, std::uint16_t port);
   /// Binds the BMP listen port (RFC 7854) on the ingest loop. A feed is
-  /// admitted, policed, filtered, archived and streamed like a session,
-  /// but skips the sampling mirror and forwarding rules. False when it
-  /// cannot bind.
+  /// admitted, policed, mirrored, filtered, archived and streamed like a
+  /// session (Platform::add_bmp_feed). False when it cannot bind.
   bool listen_bmp(const std::string& host, std::uint16_t port);
   /// Dials an outbound peering from the ingest loop.
   bool dial(const std::string& host, std::uint16_t port, bgp::AsNumber asn);
   /// Routes every session's and BMP feed's stored records into `sink`,
   /// the collector's one archive (see Platform::set_archive); the caller
-  /// owns it. Call it before listen_bmp(): a feed keeps the sink it was
-  /// accepted with. Only the ingest thread writes it and drives its
-  /// tick(), so it needs no lock; meanwhile the caller may use only what
-  /// the sink guards itself (SegmentWriter::manifest_generation,
-  /// run_retention).
+  /// owns it. Only the ingest thread writes it and drives its tick(), so
+  /// it needs no lock; meanwhile the caller may use only what the sink
+  /// guards itself (SegmentWriter::manifest_generation, run_retention).
   void set_archive(mrt::Sink* sink);
   /// Takes one batch of updates, in arrival order (StreamHub::publish).
   using StreamPublisher = std::function<void(std::span<const bgp::Update>)>;
@@ -163,19 +155,18 @@ class ShardedPlatform {
   HealthSnapshot health_snapshot() const;
   /// True while the memory watermark holds the platform degraded.
   bool degraded() const;
-  /// Updates this collector's sessions kept (Platform::stored_updates).
-  /// Other platforms sharing the registry do not count.
+  /// Updates this collector's sessions and BMP feeds kept
+  /// (Platform::stored_updates). Other platforms sharing the registry do
+  /// not count.
   std::size_t stored_updates() const;
 
-  /// Harvests the ingest platform's mirror (it restarts empty), in
-  /// arrival order; compute_refresh() sorts it.
-  bgp::UpdateStream take_merged_mirror();
-
-  /// The merge-plane refresh: harvest + ONE compute_refresh() + install
-  /// the (filters, anchors) into the ingest platform. Runs on the analysis
-  /// pool when configured (installed by a later control_tick/poll_refresh),
-  /// inline otherwise. No-op on an empty mirror, and while a job is in
-  /// flight: the mirror keeps accumulating the next window.
+  /// The merge-plane refresh: ONE Platform::harvest() (the mirror and the
+  /// quarantine roster, in one round trip to the ingest thread) + ONE
+  /// compute_refresh() + install the (filters, anchors) into the ingest
+  /// platform. Runs on the analysis pool when configured (installed by a
+  /// later control_tick/poll_refresh), inline otherwise. No-op on an empty
+  /// mirror, and while a job is in flight: the mirror keeps accumulating
+  /// the next window.
   void refresh_filters(Timestamp now);
   bool refresh_in_flight() const noexcept { return job_.valid(); }
   /// Installs a completed refresh job (non-blocking).
@@ -208,32 +199,25 @@ class ShardedPlatform {
     return future.get();
   }
 
-  /// One BMP feed (ingest thread): its socket and its decoder.
-  struct BmpFeed {
-    std::unique_ptr<net::TcpTransport> transport;
-    std::unique_ptr<daemon::BmpIngest> ingest;
-  };
-
   /// Binds `listener` on the ingest loop; each accept it admits becomes
-  /// `accept(fd)`'s session or feed (ingest thread).
+  /// `accept(fd)`'s session or feed (ingest thread), or is closed when
+  /// `accept` refuses it.
   bool listen_on(net::TcpListener& listener, const std::string& host,
-                 std::uint16_t port, VpId (ShardedPlatform::*accept)(int fd));
-  VpId accept_session(int fd);
-  VpId accept_bmp(int fd);
-  /// BGP sockets and BMP feeds currently open.
-  std::size_t open_connections() const;
+                 std::uint16_t port,
+                 std::optional<VpId> (ShardedPlatform::*accept)(int fd));
+  /// Refused once every session label is taken (VpLabels).
+  std::optional<VpId> accept_session(int fd);
+  std::optional<VpId> accept_bmp(int fd);
   /// A daemon-side transport on the ingest loop, under the ingest limits.
   std::unique_ptr<net::TcpTransport> policed_transport();
-  /// Registers a session's transport for the per-tick sync, sets its
-  /// inbound hook to Platform::poll_peer and arms its RIB dumps (ingest
-  /// thread).
-  void watch_session(VpId vp, net::TcpTransport& transport);
+  /// Decode on arrival: sets `transport`'s inbound hook to
+  /// Platform::poll_peer(vp) (ingest thread).
+  void watch(VpId vp, net::TcpTransport& transport);
+  /// Arms a BGP session's periodic RIB snapshots (ingest thread).
+  void arm_rib_dumps(VpId vp);
   /// The stream tap of sessions and feeds: appends one update to the
   /// outbox while a publisher is attached (ingest thread).
   void push_stream(const bgp::Update& update);
-  /// The tick body (ingest thread): step the platform, sync sockets, drop
-  /// closed feeds, rotate the archive.
-  void step();
   Timestamp now() const { return clock_(); }
   void install(FilterRefresh refresh);
 
@@ -249,13 +233,7 @@ class ShardedPlatform {
   net::TcpListener listener_;
   net::TcpListener bmp_listener_;
   std::optional<net::AcceptGovernor> governor_;  // ingest thread only
-  /// TcpTransport view of the platform-owned transports (per-tick sync).
-  std::map<VpId, net::TcpTransport*> transports_;
-  /// Open BMP feeds by VP label; the tick drops closed ones.
-  std::map<VpId, BmpFeed> bmp_feeds_;
-  VpId next_bmp_vp_ = kFirstBmpVp;
-  mrt::Sink* archive_ = nullptr;  // ingest thread (set_archive)
-  bool streaming_ = false;        // ingest thread: a publisher is attached
+  bool streaming_ = false;  // ingest thread: a publisher is attached
   /// Stream outbox: filled on the ingest thread, drained by the control
   /// thread (the one lock on the mirror path; held for a push or a swap).
   std::mutex outbox_mutex_;

@@ -42,6 +42,18 @@ BmpIngestStats BmpIngest::stats() const noexcept {
   return stats;
 }
 
+VpId BmpIngest::label(const wire::BmpPeerHeader& peer) {
+  if (!next_label_) return vp_;
+  const PeerKey key{peer.peer_type, peer.flags, peer.distinguisher,
+                    peer.address,   peer.as,    peer.bgp_id};
+  if (const auto it = peer_labels_.find(key); it != peer_labels_.end()) {
+    return it->second;
+  }
+  const VpId vp = peer_labels_.empty() ? vp_ : next_label_();
+  peer_labels_.emplace(key, vp);
+  return vp;
+}
+
 void BmpIngest::ingest(const wire::BmpRouteMonitoring& monitoring,
                        Timestamp now) {
   // The router's per-peer timestamp is kept unless it lies ahead of
@@ -50,6 +62,7 @@ void BmpIngest::ingest(const wire::BmpRouteMonitoring& monitoring,
   // port) would otherwise open a window the timer never seals.
   const auto stamped = static_cast<Timestamp>(monitoring.peer.timestamp_sec);
   const Timestamp when = stamped != 0 && stamped <= now ? stamped : now;
+  const VpId vp = label(monitoring.peer);
   auto process = [&](Update update) {
     counters_.updates_received.inc();
     if (mirror_) mirror_(update);
@@ -64,7 +77,7 @@ void BmpIngest::ingest(const wire::BmpRouteMonitoring& monitoring,
   const auto& message = monitoring.update;
   auto withdrawal = [&](const net::Prefix& prefix) {
     Update update;
-    update.vp = vp_;
+    update.vp = vp;
     update.time = when;
     update.prefix = prefix;
     update.withdrawal = true;
@@ -72,7 +85,7 @@ void BmpIngest::ingest(const wire::BmpRouteMonitoring& monitoring,
   };
   auto announcement = [&](const net::Prefix& prefix) {
     Update update;
-    update.vp = vp_;
+    update.vp = vp;
     update.time = when;
     update.prefix = prefix;
     update.path = message.path;

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <functional>
+#include <map>
+#include <tuple>
 
 #include "daemon/daemon.hpp"
 #include "wire/bmp.hpp"
@@ -42,9 +44,10 @@ struct BmpCounters {
 /// Stateful decoder for one BMP byte stream.
 class BmpIngest {
  public:
-  /// `vp` identifies the monitored router; `filters`/`archive` may be
-  /// null. `archive` receives every kept update — an MrtStore, or the
-  /// collector's segment writer.
+  /// `vp` labels the stream's counters and its updates (see
+  /// set_peer_labels); `filters`/`archive` may be null. `archive`
+  /// receives every kept update — an MrtStore, or the collector's segment
+  /// writer.
   /// `registry` hosts the stream's counters; when null the ingest owns a
   /// private registry (isolated stand-alone use).
   BmpIngest(VpId vp, const filt::FilterTable* filters, mrt::Sink* archive,
@@ -71,8 +74,27 @@ class BmpIngest {
     mirror_ = std::move(mirror);
   }
 
+  /// Re-points the kept updates at `archive` (may be null), from the next
+  /// message on.
+  void set_archive(mrt::Sink* archive) { archive_ = archive; }
+
+  /// Labels every monitored peer (RFC 7854 per-peer header, timestamps
+  /// aside) as a vantage point of its own: the first keeps `vp`, each later
+  /// one takes `next_label()` when it first appears. A router's peers then
+  /// never look like one VP's churn to the sampling, and a (vp, prefix)
+  /// drop rule reaches one peer's updates only. Without it every monitored
+  /// peer is labelled `vp`. The stream's counters stay labelled `vp`.
+  void set_peer_labels(std::function<VpId()> next_label) {
+    next_label_ = std::move(next_label);
+  }
+
  private:
+  using PeerKey = std::tuple<std::uint8_t, std::uint8_t, std::uint64_t,
+                             net::IpAddress, bgp::AsNumber, std::uint32_t>;
+
   void ingest(const wire::BmpRouteMonitoring& monitoring, Timestamp now);
+  /// The VP label of the monitored peer `peer` describes.
+  VpId label(const wire::BmpPeerHeader& peer);
 
   VpId vp_;
   const filt::FilterTable* filters_;
@@ -82,6 +104,8 @@ class BmpIngest {
   BmpCounters counters_;
   std::vector<std::uint8_t> pending_;
   std::function<void(const Update&)> mirror_;
+  std::function<VpId()> next_label_;
+  std::map<PeerKey, VpId> peer_labels_;
 };
 
 }  // namespace gill::daemon

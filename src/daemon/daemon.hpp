@@ -99,6 +99,11 @@ struct Transport {
   }
   /// Re-opens the pipe (a fresh TCP connection).
   virtual void reconnect() { connected_ = true; }
+  /// Per-step housekeeping for what the transport cannot do as it happens
+  /// (net::TcpTransport flushes its backlog, resumes paused reads and
+  /// re-dials); Platform::step() calls it for every session and BMP feed.
+  /// An in-memory pipe has none.
+  virtual void sync() {}
 
  private:
   bool connected_ = true;
@@ -288,7 +293,8 @@ class BgpDaemon {
 
   /// §8: "store either RIBs every eight hours or every update". Enables
   /// periodic RIB snapshots: the daemon tracks the session's table and
-  /// tick() writes a TABLE_DUMP-style snapshot every `interval` seconds.
+  /// tick() writes a TABLE_DUMP-style snapshot every `interval` seconds
+  /// while the session is Established.
   void enable_rib_dumps(Timestamp interval) { rib_dump_interval_ = interval; }
   const bgp::Rib& rib() const noexcept { return rib_; }
   std::size_t rib_dumps_written() const noexcept { return rib_dumps_; }

@@ -9,7 +9,6 @@
 #include "mrt/mrt.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gill::harness {
 
@@ -212,10 +211,6 @@ ScenarioVerdict ScenarioDriver::run_in_memory() {
   daemon::MrtStore archive;
   collect::Platform platform;
   platform.set_archive(&archive);
-  std::unique_ptr<par::ThreadPool> analysis_pool;
-  if (config_.analysis_threads > 0) {
-    analysis_pool = std::make_unique<par::ThreadPool>(config_.analysis_threads);
-  }
   VerdictScorer scorer(*scenario_);
 
   double logical_ms = 0.0;
@@ -293,12 +288,6 @@ ScenarioVerdict ScenarioDriver::run_in_memory() {
     if (idle && i >= 4) break;
     pump(25.0);
   }
-
-  // Exercise the analysis pool after the replay (determinism across thread
-  // counts must include a full refresh; doing it post-replay keeps filters
-  // from eating the evidence mid-run).
-  platform.refresh_filters(analysis_pool.get());
-  pump(25.0);
 
   archived_bytes_ = archive.writer().buffer();
   mrt::Reader reader(

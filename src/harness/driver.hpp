@@ -10,8 +10,8 @@
 //
 //  * run_in_memory() embeds its own collect::Platform on a logical clock —
 //    fully deterministic under the scenario seed (byte-identical archived
-//    MRT across runs and across analysis-thread counts), which is what the
-//    determinism tests pin down.
+//    MRT across runs), which is what the determinism tests pin down. It
+//    installs no filters: every record is archived.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +35,6 @@ struct DriverConfig {
   double settle_ms = 2500.0;
   /// Hard watchdog on the whole run.
   double timeout_ms = 60000.0;
-  // In-memory mode: workers for the post-replay refresh's parallel stages
-  // (0 runs them serially).
-  std::size_t analysis_threads = 0;
 };
 
 class ScenarioDriver {
@@ -55,7 +52,7 @@ class ScenarioDriver {
   ScenarioVerdict run_in_memory();
 
   /// The archived MRT byte stream of the last run_in_memory() call (the
-  /// determinism tests compare these across runs / thread counts).
+  /// determinism tests compare these across runs).
   const std::vector<std::uint8_t>& archived_bytes() const noexcept {
     return archived_bytes_;
   }

@@ -80,8 +80,9 @@ class TcpTransport : public daemon::Transport {
   /// happen: drains the (overlay's) outbound backlog, closes the fd after
   /// an endpoint-initiated disconnect, and re-dials when the endpoint was
   /// reconnected while the socket was gone. Drivers call this once per
-  /// step; with no overlay and no pending backlog it is a no-op.
-  void sync();
+  /// step (Platform::step() does for its sessions and feeds); with no
+  /// overlay and no pending backlog it is a no-op.
+  void sync() override;
 
   // --- daemon::Transport ----------------------------------------------------
   void write_to_peer(std::span<const std::uint8_t> message) override;

@@ -532,19 +532,15 @@ TEST(EndToEnd, DataEndpointServesOneVpsWindowAsFramedMrt) {
   platform.set_archive(&writer);
 
   // The collectord accept path.
-  std::map<bgp::VpId, net::TcpTransport*> transports;
   std::vector<bgp::VpId> accepted;
   net::TcpListener listener(loop, &registry);
   ASSERT_TRUE(listener.listen(
       "127.0.0.1", 0, [&](int fd, std::string, std::uint16_t) {
         auto transport = std::make_unique<net::TcpTransport>(
             loop, net::Role::kDaemonSide, &registry);
-        auto* raw = transport.get();
         transport->adopt(fd);
-        const bgp::VpId vp =
-            platform.add_remote_peer(0, 1000, std::move(transport));
-        transports[vp] = raw;
-        accepted.push_back(vp);
+        accepted.push_back(
+            platform.add_remote_peer(0, 1000, std::move(transport)));
       }));
 
   // The collectord HTTP plane: its archive routes over one shared engine,
@@ -559,9 +555,7 @@ TEST(EndToEnd, DataEndpointServesOneVpsWindowAsFramedMrt) {
   bgp::Timestamp now = 1000;
   std::uint64_t seen_generation = 0;
   const auto pump = [&] {
-    platform.step(now);
-    for (auto& [vp, transport] : transports) transport->sync();
-    writer.tick(now);
+    platform.step(now);  // syncs the sockets and ticks the writer
     if (writer.manifest_generation() != seen_generation) {
       seen_generation = writer.manifest_generation();
       engine.refresh();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "collector/platform.hpp"
 #include "collector/vetting.hpp"
 
@@ -152,6 +154,65 @@ TEST(Platform, FiltersApplyToSubsequentTraffic) {
   const std::size_t stored_after = archive.stored();
   const std::size_t newly_stored = stored_after - stored_before;
   EXPECT_LT(newly_stored, 2u);  // at most the anchor's copy got stored
+}
+
+// A session writes RIB snapshots only while it is up: an accepted peer that
+// goes away never returns on its VP, so its last table must not be written
+// into the archive every period for good.
+TEST(Platform, ClosedSessionWritesNoRibSnapshot) {
+  daemon::MrtStore archive;
+  Platform platform;
+  platform.set_archive(&archive);
+  auto transport = std::make_unique<daemon::Transport>();
+  daemon::Transport& wire = *transport;
+  const auto vp = platform.add_remote_peer(65010, 0, std::move(transport));
+  daemon::FakePeer router(65010, wire);
+  platform.daemon_mut(vp).enable_rib_dumps(10);
+  router.poll();
+  platform.step(1);
+  router.poll();
+  ASSERT_TRUE(router.established());
+
+  bgp::Update update;
+  update.prefix = pfx("10.0.0.0/24");
+  update.path = bgp::AsPath{65010, 65020};
+  router.send_update(update);
+  platform.step(2);
+  const auto snapshots = [&] {
+    std::size_t records = 0;
+    mrt::Reader reader(archive.writer().buffer());
+    while (const auto record = reader.next()) {
+      if (record->type == mrt::RecordType::kTableDumpV2) ++records;
+    }
+    return records;
+  };
+  platform.step(10);
+  ASSERT_EQ(snapshots(), 1u) << "an Established session snapshots";
+
+  wire.disconnect();  // the router goes away; no retry on an accepted peer
+  platform.step(11);
+  ASSERT_EQ(platform.daemon_of(vp).state(), daemon::SessionState::kIdle);
+  ASSERT_EQ(platform.daemon_of(vp).rib().size(), 1u);
+  for (bgp::Timestamp t = 20; t <= 70; t += 10) platform.step(t);
+  EXPECT_EQ(snapshots(), 1u);
+  EXPECT_EQ(platform.daemon_of(vp).rib_dumps_written(), 1u);
+}
+
+// Session labels never reach the BMP range: a session holding a feed's
+// label would have its bytes decoded as BMP, and the collector would report
+// it as a feed. Taking every session label costs nothing here; opening
+// 100,000 sessions would cost about a gigabyte.
+TEST(VpLabels, SessionsNeverReachTheBmpRange) {
+  VpLabels labels;
+  EXPECT_EQ(labels.take_bmp(), Platform::kFirstBmpVp);
+  VpId last = 0;
+  while (labels.next_session() < Platform::kFirstBmpVp) {
+    last = labels.take_session();
+  }
+  EXPECT_EQ(last, Platform::kFirstBmpVp - 1);
+  EXPECT_THROW(labels.take_session(), std::length_error);
+  EXPECT_EQ(labels.next_session(), Platform::kFirstBmpVp);
+  EXPECT_EQ(labels.take_bmp(), Platform::kFirstBmpVp + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -204,10 +204,7 @@ struct ServerHarness {
     return config;
   }
 
-  void pump() {
-    platform.step(kNow);
-    for (auto& [vp, transport] : transports) transport->sync();
-  }
+  void pump() { platform.step(kNow); }
 };
 
 /// A FakePeer dialing the harness over a peer-side TcpTransport: the
@@ -447,7 +444,6 @@ TEST(TcpSession, DialOutEstablishesAndRedialsAfterRouterRestart) {
 
   const auto pump = [&] {
     platform.step(now);
-    raw->sync();
     router.pump();
   };
   ASSERT_TRUE(drive(

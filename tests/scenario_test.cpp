@@ -297,27 +297,24 @@ TEST(ClosedLoop, InMemoryRunDetectsBothScenarioKinds) {
 }
 
 // Same scenario config + seed => byte-identical archived MRT, run to run
-// and across analysis-thread counts (the platform's determinism contract
-// extended through the whole harness stack).
-TEST(ClosedLoop, ArchivedStreamIsByteIdenticalAcrossRunsAndThreadCounts) {
+// (the platform's determinism contract extended through the whole harness
+// stack).
+TEST(ClosedLoop, ArchivedStreamIsByteIdenticalAcrossRuns) {
   const auto config =
       small_config(harness::ScenarioKind::kRouteLeak, 6);
-  auto run = [&](std::size_t threads) {
+  auto run = [&] {
     auto scenario = harness::build_scenario(config);
     harness::DriverConfig driver_config;
     driver_config.replay_ms = 800.0;
-    driver_config.analysis_threads = threads;
     harness::ScenarioDriver driver(scenario, driver_config);
     const auto verdict = driver.run_in_memory();
     EXPECT_TRUE(verdict.passed) << verdict.to_json();
     return driver.archived_bytes();
   };
-  const auto first = run(0);
-  const auto second = run(0);
-  const auto threaded = run(2);
+  const auto first = run();
+  const auto second = run();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second) << "re-run diverged";
-  EXPECT_EQ(first, threaded) << "analysis-thread count leaked into bytes";
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -158,7 +159,8 @@ TEST(Sharded, DisconnectDuringMergeIsSafe) {
     fleet.drop(i);
     platform.control_tick(kNow);
     (void)platform.health_snapshot();
-    (void)platform.take_merged_mirror();
+    (void)platform.with_platform(
+        [](Platform& ingest) { return ingest.harvest(); });
     fleet.pump();
   }
   platform.wait_for_refresh();
@@ -390,20 +392,53 @@ TEST(Admission, PeerCapCountsLiveConnections) {
 // through the installed filter table, archived and streamed there.
 // ---------------------------------------------------------------------------
 
-/// Connects to `port`, sends `bytes` and closes: the FIN follows the data.
-bool send_and_close(std::uint16_t port, std::span<const std::uint8_t> bytes) {
+/// A loopback connection to `port`; -1 when it cannot connect.
+int connect_to(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const bool sent =
-      fd >= 0 &&
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
-      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
-          static_cast<ssize_t>(bytes.size());
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, std::span<const std::uint8_t> bytes) {
+  return fd >= 0 && ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+                        static_cast<ssize_t>(bytes.size());
+}
+
+/// Connects to `port`, sends `bytes` and closes: the FIN follows the data.
+bool send_and_close(std::uint16_t port, std::span<const std::uint8_t> bytes) {
+  const int fd = connect_to(port);
+  const bool sent = send_all(fd, bytes);
   if (fd >= 0) ::close(fd);
   return sent;
+}
+
+/// One BMP Route Monitoring message announcing `update`'s prefix and path,
+/// as received from the monitored peer `peer` (address, AS).
+std::vector<std::uint8_t> route_monitoring(const bgp::Update& update,
+                                           const char* peer = "192.0.2.9",
+                                           bgp::AsNumber peer_as = 65010) {
+  wire::BmpRouteMonitoring monitoring;
+  monitoring.peer.address = net::IpAddress::parse(peer).value();
+  monitoring.peer.as = peer_as;
+  monitoring.update.nlri = {update.prefix};
+  monitoring.update.path = update.path;
+  monitoring.update.next_hop = 1;
+  return wire::encode_bmp(monitoring);
+}
+
+bgp::Update bmp_probe() {
+  bgp::Update update;
+  update.prefix = pfx("10.77.0.0/24");
+  update.path = bgp::AsPath{65010, 64500};
+  return update;
 }
 
 TEST(BmpFeed, DecodedFilteredArchivedAndStreamedOnTheIngestLoop) {
@@ -423,13 +458,7 @@ TEST(BmpFeed, DecodedFilteredArchivedAndStreamedOnTheIngestLoop) {
   ASSERT_TRUE(platform.listen_bmp("127.0.0.1", 0));
   platform.start(/*tick_ms=*/1);
 
-  wire::BmpRouteMonitoring monitoring;
-  monitoring.peer.address = net::IpAddress::parse("192.0.2.9").value();
-  monitoring.peer.as = 65010;
-  monitoring.update.nlri = {pfx("10.77.0.0/24")};
-  monitoring.update.path = bgp::AsPath{65010, 64500};
-  monitoring.update.next_hop = 1;
-  const std::vector<std::uint8_t> message = wire::encode_bmp(monitoring);
+  const std::vector<std::uint8_t> message = route_monitoring(bmp_probe());
   ClientFleet client;  // its loop only paces the waits
   const auto drained = [&](std::size_t archived, std::size_t published) {
     return client.pump_until(within(kWait), [&] {
@@ -443,17 +472,19 @@ TEST(BmpFeed, DecodedFilteredArchivedAndStreamedOnTheIngestLoop) {
   ASSERT_TRUE(send_and_close(platform.bmp_port(), message));
   ASSERT_TRUE(drained(1, 1)) << archive.updates() << " archived, "
                              << streamed.size() << " streamed";
-  EXPECT_EQ(streamed[0].vp, ShardedPlatform::kFirstBmpVp);
+  EXPECT_EQ(streamed[0].vp, Platform::kFirstBmpVp);
   EXPECT_EQ(streamed[0].time, kNow);
   EXPECT_EQ(streamed[0].prefix, pfx("10.77.0.0/24"));
   EXPECT_EQ(streamed[0].path, (bgp::AsPath{65010, 64500}));
-  EXPECT_EQ(mirrored(platform), 0u) << "BMP skips the sampling mirror";
+  EXPECT_EQ(mirrored(platform), 1u) << "BMP updates enter the sampling mirror";
+  EXPECT_EQ(registry.counter_total("gill_collector_mirrored_updates_total"),
+            1u);
 
   // The next feed is labelled kFirstBmpVp + 1. A table that drops that
   // (vp, prefix), installed in the one place filters live, filters its
   // message: counted, still streamed (the tap is pre-filter), not archived.
   filt::FilterTable drop;
-  drop.add_drop(ShardedPlatform::kFirstBmpVp + 1, pfx("10.77.0.0/24"));
+  drop.add_drop(Platform::kFirstBmpVp + 1, pfx("10.77.0.0/24"));
   platform.with_platform([&drop](Platform& ingest) {
     ingest.install_filters(std::move(drop), {});
   });
@@ -463,9 +494,52 @@ TEST(BmpFeed, DecodedFilteredArchivedAndStreamedOnTheIngestLoop) {
     return registry.counter_total("gill_bmp_updates_filtered_total") == 1 &&
            streamed.size() == 2;
   }));
-  EXPECT_EQ(streamed[1].vp, ShardedPlatform::kFirstBmpVp + 1);
+  EXPECT_EQ(streamed[1].vp, Platform::kFirstBmpVp + 1);
   EXPECT_EQ(archive.updates(), 1u);
   EXPECT_EQ(registry.counter_total("gill_bmp_updates_stored_total"), 1u);
+  platform.stop();
+}
+
+// The Platform owns the feeds, so a sink attached after listen_bmp() reaches
+// a feed that is already open, and stored_updates() counts what feeds keep,
+// the closed ones included.
+TEST(BmpFeed, LateArchiveReachesAnOpenFeedAndFeedsCountAsStored) {
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.platform.registry = &registry;
+  config.component1_refresh = 0;
+  config.clock = [] { return kNow; };
+  CountingSink archive;  // outlives the ingest thread; attached later
+  ShardedPlatform platform(config);
+  ASSERT_TRUE(platform.listen_bmp("127.0.0.1", 0));
+  platform.start(/*tick_ms=*/1);
+
+  const std::vector<std::uint8_t> message = route_monitoring(bmp_probe());
+  ClientFleet client;  // its loop only paces the waits
+  const int fd = connect_to(platform.bmp_port());
+  ASSERT_TRUE(send_all(fd, message));
+  ASSERT_TRUE(client.pump_until(within(kWait), [&] {
+    return registry.counter_total("gill_bmp_updates_stored_total") == 1;
+  }));
+  EXPECT_EQ(archive.updates(), 0u) << "no sink attached yet";
+
+  platform.set_archive(&archive);
+  ASSERT_TRUE(send_all(fd, message));
+  ASSERT_TRUE(client.pump_until(within(kWait),
+                                [&] { return archive.updates() == 1; }))
+      << "the open feed kept the sink it was accepted with";
+  EXPECT_EQ(platform.stored_updates(), 2u);
+
+  // The close drops the feed at the next tick; what it kept still counts.
+  ::close(fd);
+  const auto connections = [&] {
+    return platform.with_platform(
+        [](Platform& ingest) { return ingest.connection_count(); });
+  };
+  ASSERT_TRUE(client.pump_until(within(kWait),
+                                [&] { return connections() == 0; }));
+  EXPECT_EQ(platform.stored_updates(), 2u);
+  EXPECT_EQ(platform.peer_count(), 0u) << "BMP feeds are not peers";
   platform.stop();
 }
 
@@ -599,6 +673,174 @@ class InMemorySessions {
   Platform* platform_;
   std::vector<VpId> vps_;
 };
+
+/// In-memory BMP feeds on one Platform: each monitored router writes Route
+/// Monitoring messages into its feed's transport, and Platform::step()
+/// decodes them.
+class InMemoryBmpFeeds {
+ public:
+  explicit InMemoryBmpFeeds(Platform& platform) : platform_(&platform) {}
+
+  /// Opens `count` feeds (labels kFirstBmpVp.. in order).
+  void add_feeds(std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      auto transport = std::make_unique<daemon::Transport>();
+      routers_.push_back(transport.get());
+      vps_.push_back(platform_->add_bmp_feed(0, std::move(transport)));
+    }
+  }
+
+  const std::vector<VpId>& vps() const noexcept { return vps_; }
+
+  /// Feed `index` monitors one announcement of `update` by `peer`.
+  void send(std::size_t index, const bgp::Update& update,
+            const char* peer = "192.0.2.9", bgp::AsNumber peer_as = 65010) {
+    routers_.at(index)->write_to_daemon(
+        route_monitoring(update, peer, peer_as));
+  }
+
+  /// The correlated churn of InMemorySessions::feed_window, on every feed.
+  void feed_window(bgp::Timestamp base, bgp::Timestamp spacing) {
+    for (int round = 0; round < 6; ++round) {
+      for (const char* prefix : {"10.0.0.0/24", "10.0.1.0/24"}) {
+        bgp::Update update;
+        update.prefix = net::Prefix::parse(prefix).value();
+        update.path = round % 2 == 0 ? bgp::AsPath{65010, 65020}
+                                     : bgp::AsPath{65010, 65021, 65020};
+        for (std::size_t i = 0; i < vps_.size(); ++i) send(i, update);
+        platform_->step(static_cast<bgp::Timestamp>(base + round * spacing));
+      }
+    }
+  }
+
+ private:
+  Platform* platform_;
+  std::vector<daemon::Transport*> routers_;
+  std::vector<VpId> vps_;
+};
+
+// A BMP feed is one more vantage point (§14): its updates reach the
+// sampling mirror, so a refresh over a window of correlated BMP churn
+// learns drop rules for BMP VPs, and the feed's next matching message is
+// filtered and not archived.
+TEST(BmpFeed, RefreshLearnsDropRulesForBmpVps) {
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.platform.registry = &registry;
+  config.component1_refresh = 0;
+  ShardedPlatform platform(config);
+  daemon::MrtStore archive;
+  platform.set_archive(&archive);
+  InMemoryBmpFeeds feeds(ingest_platform(platform));
+  feeds.add_feeds(4);
+  feeds.feed_window(2, 1000);
+  ASSERT_EQ(mirrored(platform), 4u * 12u);
+
+  platform.refresh_filters(kRefreshAt);
+  ASSERT_EQ(platform.filter_generation(), 1u);
+  EXPECT_EQ(registry.counter_total("gill_sharded_merged_updates_total"),
+            4u * 12u);
+
+  // Find a BMP (vp, prefix) the installed table drops.
+  std::optional<std::size_t> dropped_feed;
+  bgp::Update probe;
+  platform.with_platform([&](Platform& ingest) {
+    for (std::size_t i = 0; i < feeds.vps().size() && !dropped_feed; ++i) {
+      for (const char* prefix : {"10.0.0.0/24", "10.0.1.0/24"}) {
+        probe.vp = feeds.vps()[i];
+        probe.prefix = pfx(prefix);
+        probe.path = bgp::AsPath{65010, 65020};
+        if (!ingest.filters().accept(probe)) {
+          dropped_feed = i;
+          break;
+        }
+      }
+    }
+  });
+  ASSERT_TRUE(dropped_feed.has_value()) << "no drop rule for a BMP VP";
+  EXPECT_GE(probe.vp, Platform::kFirstBmpVp);
+
+  const std::size_t archived = archive.stored();
+  const metrics::Labels labels{{"vp", std::to_string(probe.vp)}};
+  const auto filtered = [&] {
+    return registry.counter("gill_bmp_updates_filtered_total", "", labels)
+        .value();
+  };
+  ASSERT_EQ(filtered(), 0u);
+  feeds.send(*dropped_feed, probe);
+  ingest_platform(platform).step(kRefreshAt + 1);
+  EXPECT_EQ(filtered(), 1u);
+  EXPECT_EQ(archive.stored(), archived) << "a dropped update is not archived";
+}
+
+/// Keeps every update it is handed (single-threaded use).
+class KeepingSink : public mrt::Sink {
+ public:
+  void store(const bgp::Update& update) override { updates.push_back(update); }
+  void store_rib_entry(const bgp::Update&) override {}
+
+  std::vector<bgp::Update> updates;
+};
+
+// A feed carries Route Monitoring for every peer of the monitored router
+// (RFC 7854). Each monitored peer is a vantage point of its own, so two
+// peers announcing one prefix with different paths are not one VP's churn,
+// and a (vp, prefix) drop rule reaches one peer's updates only.
+TEST(BmpFeed, EachMonitoredPeerIsItsOwnVantagePoint) {
+  metrics::Registry registry;
+  PlatformConfig config;
+  config.registry = &registry;
+  Platform platform(config);
+  KeepingSink archive;
+  platform.set_archive(&archive);
+  InMemoryBmpFeeds feeds(platform);
+  feeds.add_feeds(1);
+  const VpId feed = feeds.vps()[0];
+  ASSERT_EQ(feed, Platform::kFirstBmpVp);
+
+  bgp::Update first = bmp_probe();
+  first.path = bgp::AsPath{65010, 64500};
+  bgp::Update second = bmp_probe();
+  second.path = bgp::AsPath{65011, 64501};
+  const auto round = [&](bgp::Timestamp now) {
+    feeds.send(0, first, "192.0.2.9", 65010);
+    feeds.send(0, second, "192.0.2.10", 65011);
+    platform.step(now);
+  };
+  const auto& mirror = platform.mirror().updates();
+  round(1);
+  ASSERT_EQ(mirror.size(), 2u);
+  EXPECT_EQ(mirror[0].vp, feed);
+  EXPECT_EQ(mirror[0].path, first.path);
+  EXPECT_EQ(mirror[1].vp, feed + 1) << "the second peer's label";
+  EXPECT_EQ(mirror[1].path, second.path);
+
+  // The next feed takes the next free BMP label; the first feed's peers
+  // keep theirs.
+  feeds.add_feeds(1);
+  EXPECT_EQ(feeds.vps()[1], feed + 2);
+  round(2);
+  ASSERT_EQ(mirror.size(), 4u);
+  EXPECT_EQ(mirror[2].vp, feed);
+  EXPECT_EQ(mirror[3].vp, feed + 1);
+
+  // A rule dropping the first peer's (vp, prefix) keeps the second's.
+  filt::FilterTable drop;
+  drop.add_drop(feed, first.prefix);
+  platform.install_filters(std::move(drop), {});
+  archive.updates.clear();
+  round(3);
+  EXPECT_EQ(registry.counter_total("gill_bmp_updates_filtered_total"), 1u);
+  ASSERT_EQ(archive.updates.size(), 1u);
+  EXPECT_EQ(archive.updates[0].vp, feed + 1);
+  EXPECT_EQ(archive.updates[0].path, second.path);
+  // The stream's counters stay per feed.
+  EXPECT_EQ(registry
+                .counter("gill_bmp_updates_received_total", "",
+                         {{"vp", std::to_string(feed)}})
+                .value(),
+            6u);
+}
 
 // The identity spec for every refresh path: one in-memory Platform refreshed
 // synchronously, and the merge plane refreshing inline and on a 2-worker
@@ -808,6 +1050,58 @@ TEST(MergePlane, DeferredRefreshRunsAsSoonAsMemoryRecovers) {
               return ingest.filters().drop_rule_count();
             }),
             0u);
+}
+
+// A BMP feed cannot be shed, so while the platform is degraded its updates
+// skip the mirror: with only feeds open (nothing to shed) the mirror stays
+// flat until memory recovers, the feed is still archived and streamed, and
+// the held refresh runs once the probe drops.
+TEST(MergePlane, DegradedBmpFeedLeavesTheMirrorFlatUntilRecovery) {
+  std::size_t memory = 100;
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.platform.registry = &registry;
+  config.platform.overload.mem_high_watermark = 1000;
+  config.platform.overload.mem_low_watermark = 500;
+  config.platform.overload.memory_probe = [&memory] { return memory; };
+  config.component1_refresh = 100;
+  ShardedPlatform platform(config);
+  CountingSink archive;
+  platform.set_archive(&archive);
+  std::size_t streamed = 0;
+  platform.set_stream_publisher(
+      [&streamed](std::span<const bgp::Update> batch) {
+        streamed += batch.size();
+      });
+  InMemoryBmpFeeds feeds(ingest_platform(platform));
+  feeds.add_feeds(1);
+  platform.control_tick(1);
+  feeds.feed_window(2, 10);
+  ASSERT_EQ(mirrored(platform), 12u);
+
+  memory = 2000;
+  feeds.feed_window(60, 5);
+  ASSERT_TRUE(platform.degraded());
+  platform.drain_stream();
+  EXPECT_EQ(mirrored(platform), 12u) << "a degraded feed grew the mirror";
+  EXPECT_EQ(registry.counter_total("gill_collector_mirrored_updates_total"),
+            12u);
+  EXPECT_EQ(archive.updates(), 24u);
+  EXPECT_EQ(streamed, 24u);
+  EXPECT_EQ(registry.counter_total("gill_overload_sheds_total"), 0u);
+
+  platform.control_tick(101);
+  EXPECT_EQ(platform.filter_generation(), 0u);
+  EXPECT_EQ(
+      registry.counter_total("gill_overload_refreshes_deferred_total"), 1u);
+
+  memory = 100;
+  ingest_platform(platform).step(130);
+  ASSERT_FALSE(platform.degraded());
+  platform.control_tick(131);
+  EXPECT_EQ(platform.filter_generation(), 1u);
+  EXPECT_EQ(registry.counter_total("gill_sharded_merged_updates_total"), 12u);
+  EXPECT_EQ(mirrored(platform), 0u);
 }
 
 }  // namespace

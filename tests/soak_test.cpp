@@ -95,7 +95,6 @@ TEST(Soak, FlapStormResyncsByteIdenticalToBaseline) {
   collect::Platform baseline;
 
   std::vector<std::unique_ptr<GrRouter>> routers;
-  std::vector<TcpTransport*> transports;
   std::vector<bgp::VpId> vps, base_vps;
   bgp::Timestamp now = 1000;
   for (std::size_t i = 0; i < peer_count; ++i) {
@@ -103,11 +102,9 @@ TEST(Soak, FlapStormResyncsByteIdenticalToBaseline) {
     routers.push_back(std::make_unique<GrRouter>(loop, registry, as));
     auto transport =
         std::make_unique<TcpTransport>(loop, Role::kDaemonSide, &registry);
-    auto* raw = transport.get();
-    ASSERT_TRUE(raw->dial("127.0.0.1", routers[i]->listener.port()));
+    ASSERT_TRUE(transport->dial("127.0.0.1", routers[i]->listener.port()));
     vps.push_back(platform.add_dialed_peer(as, now, std::move(transport)));
     platform.daemon_mut(vps[i]).enable_rib_dumps(8 * 3600);
-    transports.push_back(raw);
     base_vps.push_back(baseline.add_peer(as, now));
     baseline.daemon_mut(base_vps[i]).enable_rib_dumps(8 * 3600);
   }
@@ -117,7 +114,6 @@ TEST(Soak, FlapStormResyncsByteIdenticalToBaseline) {
       if (advance_time && i < 64) ++now;  // lets reconnect backoffs elapse
       loop.run_once(2);
       platform.step(now);
-      for (auto* transport : transports) transport->sync();
       for (auto& router : routers) router->pump();
       if (done()) return true;
     }
@@ -288,10 +284,7 @@ TEST(Soak, TenfoldIngestSpikeStaysUnderTheWatermark) {
   const auto drive = [&](auto done, bool step_platform) {
     for (int i = 0; i < 6000; ++i) {
       loop.run_once(2);
-      if (step_platform) {
-        platform.step(kNow);
-        if (raw) raw->sync();
-      }
+      if (step_platform) platform.step(kNow);
       peer.poll();
       client.sync();
       if (done()) return true;
@@ -337,7 +330,6 @@ TEST(Soak, TenfoldIngestSpikeStaysUnderTheWatermark) {
     max_queue = std::max(max_queue, raw->inbound_queue_bytes());
     loop.run_once(2);
     platform.step(kNow);
-    raw->sync();
     peer.poll();
     client.sync();
   }

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "collector/platform.hpp"
 #include "collector/validator.hpp"
 
 namespace gill::collect {
@@ -98,45 +97,6 @@ TEST(Validator, WithdrawalsAlwaysPass) {
 TEST(Validator, VerdictNames) {
   EXPECT_EQ(to_string(RouteVerdict::kOk), "ok");
   EXPECT_EQ(to_string(RouteVerdict::kFabricatedPath), "fabricated-path");
-}
-
-// ---------------------------------------------------------------------------
-// Platform forwarding rules (§14 custom services).
-// ---------------------------------------------------------------------------
-
-TEST(Forwarding, RulesSeeUpdatesBeforeFilters) {
-  Platform platform;
-  const auto vp = platform.add_peer(65010, 0);
-  platform.step(1);
-
-  std::vector<bgp::Update> forwarded;
-  platform.add_forwarding_rule(
-      pfx("203.0.113.0/24"),
-      [&](const bgp::Update& update) { forwarded.push_back(update); });
-  EXPECT_EQ(platform.forwarding_rule_count(), 1u);
-
-  bgp::Update mine = make("203.0.113.0/24", {65010, 64500});
-  bgp::Update other = make("198.51.100.0/24", {65010, 64500});
-  platform.remote(vp).send_update(mine);
-  platform.remote(vp).send_update(other);
-  platform.step(2);
-
-  ASSERT_EQ(forwarded.size(), 1u);
-  EXPECT_EQ(forwarded[0].prefix, pfx("203.0.113.0/24"));
-}
-
-TEST(Forwarding, CoveringPrefixMatchesSpecifics) {
-  Platform platform;
-  const auto vp = platform.add_peer(65010, 0);
-  platform.step(1);
-  std::size_t forwarded = 0;
-  platform.add_forwarding_rule(pfx("203.0.0.0/16"),
-                               [&](const bgp::Update&) { ++forwarded; });
-  platform.remote(vp).send_update(make("203.0.113.0/24", {65010}));
-  platform.remote(vp).send_update(make("203.0.42.0/24", {65010}));
-  platform.remote(vp).send_update(make("204.0.0.0/24", {65010}));
-  platform.step(2);
-  EXPECT_EQ(forwarded, 2u);
 }
 
 }  // namespace

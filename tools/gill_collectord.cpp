@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   // reaches the session layer.
   config.accept_rate = static_cast<double>(accept_rate);
   config.on_session = [](bgp::VpId vp, const std::string& peer_ip) {
-    const bool bmp = vp >= collect::ShardedPlatform::kFirstBmpVp;
+    const bool bmp = vp >= collect::Platform::kFirstBmpVp;
     std::fprintf(stderr, "[collectord] vp%u %s from %s\n", vp,
                  bmp ? "BMP feed" : "peering", peer_ip.c_str());
   };

@@ -12,8 +12,7 @@
 //
 // With --in-memory the harness embeds its own collect::Platform on a
 // logical clock instead — fully deterministic under --seed (the
-// determinism tests compare --archive-out bytes across runs and across
-// --analysis-threads settings).
+// determinism tests compare --archive-out bytes across runs).
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -37,15 +36,13 @@ constexpr const char* kUsage =
     "  --host IP              ... its address (default 127.0.0.1)\n"
     "  --in-memory            embed the platform; deterministic logical clock\n"
     "  --archive-out PATH     (in-memory) write the archived MRT bytes here\n"
-    "  --analysis-threads N   (in-memory) pool for the refresh's parallel\n"
-    "                         stages (default 0: serial)\n"
     "  --latency-ms N         one-way link latency per VP session (default 10)\n"
     "  --jitter-ms N          uniform jitter on top of latency (default 4)\n"
     "  --loss P               UPDATE loss probability, 0..1 (default 0.01)\n"
     "  --bandwidth-kbps N     per-session serialization cap (default off)\n"
     "  --ases N               topology size (default 48)\n"
     "  --vps N                vantage-point sessions (default 12)\n"
-      "  --seed N               scenario + shaping + pacing seed (default 1)\n"
+    "  --seed N               scenario + shaping + pacing seed (default 1)\n"
     "  --rate N               mean event rate/s for the pacing model (default 50)\n"
     "  --replay-ms N          event replay window (default 3000)\n"
     "  --settle-ms N          post-replay drain (default 2500)\n"
@@ -109,8 +106,6 @@ int main(int argc, char** argv) {
   driver_config.settle_ms = static_cast<double>(args.get_int("settle-ms", 2500));
   driver_config.timeout_ms =
       static_cast<double>(args.get_int("timeout-ms", 60000));
-  driver_config.analysis_threads =
-      static_cast<std::size_t>(args.get_int("analysis-threads", 0));
 
   bool all_passed = true;
   std::string json = "{\"scenarios\":[";
